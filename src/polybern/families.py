@@ -27,7 +27,6 @@ __all__ = [
     "polylog_series",
     "bernoulli_gf",
     "bernoulli",
-    "bernoulli_poly",
     "daehee",
     "carlitz_gf",
     "carlitz_beta",

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import families
-from .errors import UnknownIdentity
+from .errors import PolybernError, UnknownIdentity
 from .polynomials import Polynomial
 from .ring import LambdaPoly, format_scalar, lambda_eval
 from .series import Series
@@ -139,18 +139,17 @@ def _integrate_termwise(p: Polynomial, bvals: list[Fraction]) -> Polynomial:
 def _a_series(k: int, precision: int) -> Series:
     """((e^t - 1)/t) * Li_k(1 - elam(-1)) / (elam(1) - 1), assembled here
     rather than taken from the families module."""
-    n = precision + 2
-    pre = (Series.t(n).exp() - 1).div(Series.t(n))
-    z = 1 - families.elam(-1, n - 1)
-    num = families.polylog_series(k, n - 1).compose(z)
-    return pre * num.div(families.elam(1, n - 1) - 1)
+    n = precision + 1
+    z = 1 - families.elam(-1, n)
+    num = families.polylog_series(k, n).compose(z)
+    return _expm1_over_t(n) * num.div(families.elam(1, n) - 1)
 
 
 @lru_cache(maxsize=None)
 def _expm1_over_t(precision: int) -> Series:
     """(e^t - 1)/t."""
     n = precision + 1
-    return (Series.t(n).exp() - 1).div(Series.t(n))
+    return (families._exp_t(n) - 1).div(Series.t(n))
 
 
 def _shift_operator(y: Fraction, precision: int) -> Series:
@@ -393,6 +392,8 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     if ident not in CATALOG_IDS:
         raise UnknownIdentity(f"unknown identity '{ident}'")
     nmax = 8 if nmax is None else nmax
+    if nmax < 0:
+        raise PolybernError(f"nmax must be >= 0, got {nmax}")
     r = 1 if r is None else r
     n_random = 3 if n_random is None else n_random
     max_degree = 8 if max_degree is None else max_degree

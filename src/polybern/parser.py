@@ -162,6 +162,8 @@ def _lex(text: str) -> list[_Token]:
                 while i < n and text[i].isdigit():
                     i += 1
             raw = text[start:i]
+            if kind == "RAT" and not int(raw.split("/")[1]):
+                raise ExprSyntaxError(f"zero denominator in '{raw}'", start)
             tokens.append(_Token(kind, raw, start, Fraction(raw)))
             continue
         if ch.isalpha() or ch == "λ":

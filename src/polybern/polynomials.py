@@ -5,19 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .ring import LambdaPoly, format_scalar, lambda_eval
+from .ring import (
+    _ZERO,
+    LambdaPoly,
+    add_coeffs,
+    coerce_scalar,
+    format_scalar,
+    horner,
+    lambda_eval,
+    mul_coeffs,
+    power,
+    trim,
+)
 
 __all__ = ["Polynomial"]
-
-_ZERO = Fraction(0)
-
-
-def _coerce(value):
-    if isinstance(value, (Fraction, LambdaPoly)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not a polynomial coefficient: {value!r}")
 
 
 class Polynomial:
@@ -26,18 +27,15 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(trim([coerce_scalar(c) for c in coeffs])))
 
     @classmethod
     def constant(cls, value) -> Polynomial:
-        return cls((_coerce(value),))
+        return cls((coerce_scalar(value),))
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> Polynomial:
-        return cls((0,) * degree + (_coerce(coeff),))
+        return cls((0,) * degree + (coerce_scalar(coeff),))
 
     @classmethod
     def x(cls) -> Polynomial:
@@ -60,13 +58,7 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+        return Polynomial(add_coeffs(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
@@ -83,34 +75,22 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = _coerce(other)
+            c = coerce_scalar(other)
             return Polynomial([c * x for x in self._coeffs])
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return Polynomial(out)
+        return Polynomial(mul_coeffs(a, b, len(a) + len(b) - 1))
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
-        c = _coerce(other)
+        c = coerce_scalar(other)
         return Polynomial([x / c for x in self._coeffs])
 
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take a non-negative integer")
-        out = Polynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, Polynomial.constant(1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -129,22 +109,18 @@ class Polynomial:
 
     def __call__(self, y):
         """Evaluate at a scalar (Horner)."""
-        y = _coerce(y)
-        acc = _ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * y + c
-        return acc
+        return horner(self._coeffs, coerce_scalar(y))
 
     def shift(self, y) -> Polynomial:
         """The polynomial q with q(x) = p(x + y), by binomial re-expansion."""
-        y = _coerce(y)
+        y = coerce_scalar(y)
         if not y:
             return self
         out = [_ZERO] * len(self._coeffs)
         for n, c in enumerate(self._coeffs):
             if not c:
                 continue
-            yp = _coerce(1)
+            yp = coerce_scalar(1)
             for j in range(n, -1, -1):
                 out[j] = out[j] + comb(n, n - j) * yp * c
                 yp = yp * y

@@ -1,10 +1,15 @@
-"""Exact scalars: arbitrary-precision rationals and the ring Q[lambda].
+"""Exact scalars, the ring Q[lambda], and the dense coefficient kernel.
 
 Rationals are stdlib ``fractions.Fraction`` values, which are always stored
 fully reduced with a positive denominator, so equality is structural.
 ``LambdaPoly`` is a dense polynomial in the indeterminate ``lambda`` with
 Fraction coefficients; plain rationals embed implicitly as degree-0
 polynomials, so mixed arithmetic needs no explicit coercion at call sites.
+
+This module also owns the dense coefficient kernel that ``LambdaPoly``,
+``Polynomial`` (Q[lambda][x]) and ``Series`` (truncated series in t) share:
+coefficient lists stored low degree first, with trimming, addition,
+truncated multiplication, Horner evaluation and powers defined once here.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "Rational",
@@ -30,6 +37,66 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def trim(cs: list) -> list:
+    """Drop trailing zero coefficients from ``cs`` in place; return it."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def add_coeffs(a, b) -> list:
+    """Coefficient-wise sum of two dense coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def mul_coeffs(a, b, n: int) -> list:
+    """The first ``n`` coefficients of the product of ``a`` and ``b``;
+    ``n = len(a) + len(b) - 1`` gives the full product."""
+    out = [_ZERO] * n
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for j, cb in enumerate(b[:n - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def horner(coeffs, v):
+    """Value of the dense polynomial ``coeffs`` at ``v``."""
+    acc = _ZERO
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def power(base, n: int, one):
+    """``base`` to the integer power ``n >= 0`` by square-and-multiply;
+    ``one`` is the unit of base's ring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def coerce_scalar(value):
+    """A Q or Q[lambda] coefficient: Fractions and LambdaPolys pass as they
+    are, ints become Fractions, anything else is a TypeError."""
+    if isinstance(value, (Fraction, LambdaPoly)):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"not a Q or Q[lambda] coefficient: {value!r}")
 
 
 def _as_fraction(value) -> Fraction | None:
@@ -51,10 +118,10 @@ class LambdaPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        # Fraction(c) costs a Python call even when c is already a Fraction,
+        # and kernel results always are.
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "_coeffs", tuple(trim(cs)))
 
     @classmethod
     def constant(cls, value) -> LambdaPoly:
@@ -77,7 +144,7 @@ class LambdaPoly:
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return self._coeffs[0] if self._coeffs else _ZERO
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -94,13 +161,7 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._coeffs, rhs._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LambdaPoly(out)
+        return LambdaPoly(add_coeffs(self._coeffs, rhs._coeffs))
 
     __radd__ = __add__
 
@@ -124,16 +185,7 @@ class LambdaPoly:
         if rhs is None:
             return NotImplemented
         a, b = self._coeffs, rhs._coeffs
-        if not a or not b:
-            return LambdaPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return LambdaPoly(out)
+        return LambdaPoly(mul_coeffs(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -146,10 +198,7 @@ class LambdaPoly:
     def __pow__(self, n: int) -> LambdaPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("LambdaPoly powers take a non-negative integer")
-        out = LambdaPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, LambdaPoly.constant(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LambdaPoly):
@@ -176,7 +225,7 @@ class LambdaPoly:
         dc = other._coeffs
         dd = other.degree
         lead = dc[-1]
-        out = [Fraction(0)] * (len(rem) - dd)
+        out = [_ZERO] * (len(rem) - dd)
         for i in range(len(out) - 1, -1, -1):
             c = rem[i + dd] / lead
             out[i] = c
@@ -189,11 +238,7 @@ class LambdaPoly:
 
     def evaluate(self, v) -> Fraction:
         """Substitute lambda := v exactly (Horner)."""
-        v = Fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * v + c
-        return acc
+        return horner(self._coeffs, Fraction(v))
 
     def is_constant(self) -> tuple[bool, Fraction]:
         """Whether degree <= 0, together with the constant term."""

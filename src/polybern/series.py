@@ -18,19 +18,17 @@ from .errors import (
     NotDelta,
     PrecisionExceeded,
 )
-from .ring import LambdaPoly, format_scalar, lambda_eval
+from .ring import (
+    _ZERO,
+    LambdaPoly,
+    coerce_scalar,
+    format_scalar,
+    lambda_eval,
+    mul_coeffs,
+    power,
+)
 
 __all__ = ["Series", "invert_constant"]
-
-_ZERO = Fraction(0)
-
-
-def _coerce_scalar(value):
-    if isinstance(value, (Fraction, LambdaPoly)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not a series coefficient: {value!r}")
 
 
 def invert_constant(c):
@@ -49,36 +47,22 @@ def invert_constant(c):
     return 1 / c
 
 
-def _mul_coeffs(a, b, n: int) -> list:
-    out = [_ZERO] * n
-    for i, ca in enumerate(a):
-        if i >= n:
-            break
-        if not ca:
-            continue
-        for j in range(min(len(b), n - i)):
-            cb = b[j]
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
 class Series:
     """Formal power series in t, truncated to a fixed precision."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs, precision: int | None = None):
-        cs = [_coerce_scalar(c) for c in coeffs]
+        cs = [coerce_scalar(c) for c in coeffs]
         if precision is not None:
             if precision < 1:
-                raise ValueError("precision must be >= 1")
+                raise PrecisionExceeded(f"precision must be >= 1, got {precision}")
             if len(cs) < precision:
                 cs.extend([_ZERO] * (precision - len(cs)))
             else:
                 del cs[precision:]
         if not cs:
-            raise ValueError("a series needs at least one coefficient")
+            raise PrecisionExceeded("a series needs at least one coefficient")
         object.__setattr__(self, "_coeffs", tuple(cs))
 
     @classmethod
@@ -95,7 +79,7 @@ class Series:
 
     @classmethod
     def constant(cls, value, precision: int) -> Series:
-        return cls((_coerce_scalar(value),), precision)
+        return cls((coerce_scalar(value),), precision)
 
     @property
     def precision(self) -> int:
@@ -111,13 +95,6 @@ class Series:
     def __iter__(self):
         return iter(self._coeffs)
 
-    def order(self) -> int | None:
-        """Index of the lowest nonzero coefficient, or None for zero."""
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        return None
-
     def truncate(self, precision: int) -> Series:
         if precision > self.precision:
             raise PrecisionExceeded(
@@ -131,7 +108,7 @@ class Series:
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
             return Series([self._coeffs[i] + other._coeffs[i] for i in range(n)])
-        c = _coerce_scalar(other)
+        c = coerce_scalar(other)
         out = list(self._coeffs)
         out[0] = out[0] + c
         return Series(out)
@@ -145,16 +122,16 @@ class Series:
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
             return Series([self._coeffs[i] - other._coeffs[i] for i in range(n)])
-        return self + (-_coerce_scalar(other))
+        return self + (-coerce_scalar(other))
 
     def __rsub__(self, other):
-        return (-self) + _coerce_scalar(other)
+        return (-self) + coerce_scalar(other)
 
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
-            return Series(_mul_coeffs(self._coeffs, other._coeffs, n))
-        c = _coerce_scalar(other)
+            return Series(mul_coeffs(self._coeffs, other._coeffs, n))
+        c = coerce_scalar(other)
         return Series([c * x for x in self._coeffs])
 
     def __rmul__(self, other):
@@ -165,14 +142,7 @@ class Series:
             raise TypeError("series powers take an integer exponent")
         if n < 0:
             return Series.one(self.precision).div(self.__pow__(-n))
-        out = Series.one(self.precision)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, Series.one(self.precision))
 
     def div(self, other: Series) -> Series:
         """Quotient truncated to the result precision.
@@ -233,16 +203,16 @@ class Series:
         n = min(self.precision, inner.precision)
         acc = [_ZERO] * n
         acc[0] = self._coeffs[0]
-        power = list(inner._coeffs[:n])
+        inner_i = list(inner._coeffs[:n])
         for i in range(1, n):
             fi = self._coeffs[i]
             if fi:
                 for m in range(i, n):
-                    pm = power[m]
+                    pm = inner_i[m]
                     if pm:
                         acc[m] = acc[m] + fi * pm
             if i + 1 < n:
-                power = _mul_coeffs(power, inner._coeffs, n)
+                inner_i = mul_coeffs(inner_i, inner._coeffs, n)
         return Series(acc)
 
     def revert(self) -> Series:
@@ -256,10 +226,10 @@ class Series:
         u = Series.t(n).div(self)
         out = [_ZERO] * n
         out[1] = u[0]
-        power = u
+        u_m = u
         for m in range(2, n):
-            power = power * u
-            out[m] = power[m - 1] / m
+            u_m = u_m * u
+            out[m] = u_m[m - 1] / m
         return Series(out)
 
     # -- transcendental maps -----------------------------------------------
@@ -309,11 +279,6 @@ class Series:
     def specialize(self, v) -> Series:
         """Substitute lambda := v in every coefficient (exact)."""
         return Series([lambda_eval(c, v) for c in self._coeffs])
-
-    def agrees(self, other: Series) -> bool:
-        """Equality up to the shorter of the two precisions."""
-        n = min(self.precision, other.precision)
-        return all(self._coeffs[i] == other._coeffs[i] for i in range(n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

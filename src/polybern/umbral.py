@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
 from .series import Series, invert_constant
@@ -91,9 +92,7 @@ def shift(p: Polynomial, y) -> Polynomial:
 @lru_cache(maxsize=None)
 def bernoulli_operator(precision: int, r: int = 1) -> Series:
     """(t/(e^t - 1))^r at the given precision."""
-    n = precision + 1
-    base = Series.t(n).div(Series.t(n).exp() - 1)
-    return base**r
+    return families.bernoulli_gf(precision) ** r
 
 
 def invariant_integral(p: Polynomial, r: int = 1):

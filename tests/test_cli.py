@@ -147,6 +147,11 @@ def test_bad_usage_exits_two():
     assert run_cli("poly", "daehee", "--n", "2").returncode == 2
     assert run_cli("table", "daehee", "--n", "40", "--order", "8").returncode == 2
     assert run_cli("frobnicate").returncode == 2
+    assert run_cli("eval", "0/0").returncode == 2
+    assert run_cli("eval", "elam(1/0)").returncode == 2
+    assert run_cli("eval", "li(2,t)", "--order", "0").returncode == 2
+    assert run_cli("verify", "t==t", "--order", "0").returncode == 2
+    assert run_cli("verify", "thm1", "--n", "-1").returncode == 2
 
 
 # -- poly -------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Family constructors against independent oracles and frozen values."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+import polybern
 from conftest import bernoulli_oracle, divide_lists
 from polybern import families
 from polybern.errors import PolybernError, PrecisionExceeded
@@ -245,3 +248,12 @@ def test_unknown_family_and_missing_k():
         families.table("dpb-higher", 4, k=1, r=0)
     with pytest.raises(PolybernError):
         families.polynomial("daehee", 3, 5)
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(polybern.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"polybern.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"polybern.{info.name}.__all__ names {name}"

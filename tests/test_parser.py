@@ -108,6 +108,10 @@ def test_syntax_error_offset_and_expected():
         parse("t t")
     assert exc.value.offset == 2
 
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("t + 3/0")
+    assert exc.value.offset == 4
+
 
 def test_non_integer_exponent_rejected():
     with pytest.raises(ExprSyntaxError) as exc:

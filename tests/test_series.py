@@ -80,7 +80,7 @@ def test_mixed_ring_promotion():
     degen = Series([1, LAMBDA, LAMBDA**2])
     assert (plain * degen)[1] == LAMBDA + 1
     assert (plain + degen)[2] == LAMBDA**2 + Fraction(1, 2)
-    assert (degen - 1).order() == 1
+    assert (degen - 1)[0] == 0 and (degen - 1)[1]
 
 
 def test_binary_precision_is_minimum():
@@ -128,7 +128,7 @@ def test_div_matches_long_division_oracle():
 def test_div_mul_round_trip(f, g):
     if g[0]:
         q = f.div(g)
-        assert (q * g).agrees(f)
+        assert q * g == f.truncate(q.precision)
 
 
 def test_div_lambda_constant_denominator():
