@@ -189,8 +189,6 @@ def cmd_poly(args) -> int:
         raise PolybernError("poly needs --n (polynomial index)")
     if args.n < 0 or args.n >= order:
         raise PolybernError(f"--n must satisfy 0 <= n < {order}")
-    if args.family == "daehee":
-        raise PolybernError("family 'daehee' has no polynomial form")
     p = families.polynomial(args.family, args.n, args.n + 1, k=args.k, r=args.r)
     if args.lam is not None:
         p = p.specialize(args.lam)

@@ -33,7 +33,6 @@ __all__ = [
     "carlitz_beta_poly",
     "poly_bernoulli_gf",
     "poly_bernoulli",
-    "poly_bernoulli_poly",
     "dpb_gf",
     "dpb_numbers",
     "dpb_poly",
@@ -175,12 +174,6 @@ def poly_bernoulli(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
     return SequenceTable.from_series("poly-bernoulli", poly_bernoulli_gf(k, precision), k=k)
 
 
-def poly_bernoulli_poly(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    if n >= precision:
-        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-    return binomial_poly(poly_bernoulli(k, precision), n)
-
-
 @lru_cache(maxsize=None)
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
@@ -194,9 +187,7 @@ def dpb_numbers(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
 
 
 def dpb_poly(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    if n >= precision:
-        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-    return binomial_poly(dpb_numbers(k, precision), n)
+    return polynomial("dpb", n, precision, k=k)
 
 
 @lru_cache(maxsize=None)
@@ -211,9 +202,7 @@ def dpb_higher_numbers(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Se
 
 
 def dpb_higher_poly(k: int, r: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    if n >= precision:
-        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-    return binomial_poly(dpb_higher_numbers(k, r, precision), n)
+    return polynomial("dpb-higher", n, precision, k=k, r=r)
 
 
 def _validate(family: str, k: int | None, r: int):
@@ -246,21 +235,19 @@ def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
 
 def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,
                k: int | None = None, r: int = 1) -> Polynomial:
-    """Polynomial-in-x form of a family, where the family defines one."""
+    """Polynomial-in-x form of a family, where the family defines one.
+
+    Carlitz's polynomial uses the degenerate falling-factorial basis; the
+    others are Appell sequences, ``binomial_poly`` of the family's table.
+    """
+    if family == "daehee":
+        raise PolybernError(f"family '{family}' has no polynomial form")
     _validate(family, k, r)
-    if family == "bernoulli":
-        if n >= precision:
-            raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-        return binomial_poly(bernoulli(precision), n)
     if family == "carlitz":
         return carlitz_beta_poly(n, precision)
-    if family == "poly-bernoulli":
-        return poly_bernoulli_poly(k, n, precision)
-    if family == "dpb":
-        return dpb_poly(k, n, precision)
-    if family == "dpb-higher":
-        return dpb_higher_poly(k, r, n, precision)
-    raise PolybernError(f"family '{family}' has no polynomial form")
+    if n >= precision:
+        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
+    return binomial_poly(table(family, precision, k, r), n)
 
 
 def canonical_expression(family: str, k: int | None = None, r: int = 1) -> str:

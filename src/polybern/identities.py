@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import families
-from .errors import PolybernError, UnknownIdentity
+from .errors import PolybernError, PrecisionExceeded, UnknownIdentity
 from .polynomials import Polynomial
 from .ring import LambdaPoly, format_scalar, lambda_eval
 from .series import Series
@@ -221,54 +221,6 @@ def check_eq18(tbl: families.SequenceTable, nmax: int, ys, lam=None) -> Witness 
     return None
 
 
-def check_thm1(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
-               rng: random.Random, n_random: int, max_degree: int,
-               lam=None) -> Witness | None:
-    a = _a_series(k, precision)
-    s = a * bernoulli_operator(precision)
-    for n in range(nmax + 1):
-        lhs = pair(s, Polynomial.monomial(n))
-        ok, ls, rs = _cmp_scalars(lhs, tbl.value(n), lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    gf = families.dpb_gf(k, precision)
-    expm1 = _expm1_over_t(precision)
-    for i in range(n_random):
-        p = _random_polynomial(rng, max_degree)
-        lhs = pair(gf, p)
-        rhs = invariant_integral(op_apply(a, p))
-        ok, ls, rs = _cmp_scalars(lhs, rhs, lam)
-        if not ok:
-            return Witness(i, ls, rs)
-        # h(t) = 1 particular case: the integral undoes (e^t - 1)/t at 0.
-        at_zero = invariant_integral(op_apply(expm1, p))
-        ok, ls, rs = _cmp_scalars(at_zero, p(0), lam)
-        if not ok:
-            return Witness(i, ls, rs)
-    return None
-
-
-def check_thm2(k: int, precision: int, rng: random.Random, n_random: int,
-               max_degree: int, lam=None) -> Witness | None:
-    a = _a_series(k, precision)
-    gf = families.dpb_gf(k, precision)
-    bop = bernoulli_operator(precision)
-    bvals = bernoulli_numbers_triangular(max_degree + 1)
-    for i in range(n_random):
-        p = _random_polynomial(rng, max_degree)
-        q_op = op_apply(bop, p)
-        q_tri = _integrate_termwise(p, bvals)
-        ok, ls, rs = _cmp_polys(q_op, q_tri, lam)
-        if not ok:
-            return Witness(i, ls, rs)
-        lhs = op_apply(a, q_op)
-        rhs = op_apply(gf, p)
-        ok, ls, rs = _cmp_polys(lhs, rhs, lam)
-        if not ok:
-            return Witness(i, ls, rs)
-    return None
-
-
 def check_thm3(k: int, r: int, precision: int, rng: random.Random, n_random: int,
                max_degree: int, lam=None) -> Witness | None:
     a_r = _a_series(k, precision) ** r
@@ -372,6 +324,8 @@ def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
 
 def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
     """lambda -> 0 specialization agrees with the classical gf coefficients."""
+    if nmax >= precision:
+        raise PrecisionExceeded(f"n = {nmax} exceeds precision {precision}")
     degen = families.dpb_gf(k, precision).specialize(0)
     plain = families.poly_bernoulli_gf(k, precision)
     for n in range(nmax + 1):
@@ -420,16 +374,16 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
         ys_used = tuple(ys) if ys is not None else DEFAULT_YS + (_random_rational(rng),)
         witness = check_eq18(families.dpb_numbers(k, p), nmax, ys_used, lam)
         params.update(k=k, nmax=nmax, seed=seed)
-    elif ident == "thm1":
+    elif ident == "thm1":  # Theorem 4 at r = 1
         k = 2 if k is None else k
         p = order or (max(nmax, max_degree) + 2)
-        witness = check_thm1(families.dpb_numbers(k, p), k, nmax, p, rng,
+        witness = check_thm4(families.dpb_numbers(k, p), k, 1, nmax, p, rng,
                              n_random, max_degree, lam)
         params.update(k=k, nmax=nmax, n_random=n_random, max_degree=max_degree, seed=seed)
-    elif ident == "thm2":
+    elif ident == "thm2":  # Theorem 3 at r = 1
         k = 2 if k is None else k
         p = order or (max_degree + 2)
-        witness = check_thm2(k, p, rng, n_random, max_degree, lam)
+        witness = check_thm3(k, 1, p, rng, n_random, max_degree, lam)
         params.update(k=k, n_random=n_random, max_degree=max_degree, seed=seed)
     elif ident == "thm3":
         k = 2 if k is None else k

@@ -150,16 +150,16 @@ def _lex(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             # p/q with no spaces is one rational literal
             kind = "INT"
-            if i + 1 < n and text[i] == "/" and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "/" and text[i + 1].isdecimal():
                 kind = "RAT"
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
             raw = text[start:i]
             if kind == "RAT" and not int(raw.split("/")[1]):

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .ring import (
     _ZERO,
-    LambdaPoly,
     add_coeffs,
     coerce_scalar,
-    format_scalar,
+    format_terms,
     horner,
     lambda_eval,
     mul_coeffs,
@@ -131,31 +129,7 @@ class Polynomial:
         return Polynomial([lambda_eval(c, v) for c in self._coeffs])
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for d in range(self.degree, -1, -1):
-            c = self._coeffs[d]
-            if not c:
-                continue
-            flat = not isinstance(c, LambdaPoly) or c.degree <= 0
-            if flat:
-                q = c if isinstance(c, Fraction) else c.constant_term
-                mag = format_scalar(abs(q))
-                if d == 0:
-                    body = mag
-                else:
-                    xs = "x" if d == 1 else f"x^{d}"
-                    body = xs if abs(q) == 1 else f"{mag}*{xs}"
-                if not parts:
-                    parts.append(body if q > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if q > 0 else f"- {body}")
-            else:
-                cs = f"({format_scalar(c)})"
-                body = cs if d == 0 else (f"{cs}*x" if d == 1 else f"{cs}*x^{d}")
-                parts.append(body if not parts else f"+ {body}")
-        return " ".join(parts)
+        return format_terms(self._coeffs, "x")
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

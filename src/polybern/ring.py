@@ -33,7 +33,8 @@ __all__ = [
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as ``p/q``, omitting the ``/1`` of integers."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -78,15 +79,46 @@ def horner(coeffs, v):
 
 def power(base, n: int, one):
     """``base`` to the integer power ``n >= 0`` by square-and-multiply;
-    ``one`` is the unit of base's ring."""
-    out = one
+    ``one`` is the unit of base's ring, returned only for ``n == 0``. The
+    first factor is taken as it is, so ``power(base, 1, one) is base``."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
+
+
+def format_terms(coeffs, var: str) -> str:
+    """Render dense coefficients highest degree first, as ``-3/4*x^2 + x - 1``.
+
+    A coefficient that is not a rational constant (a LambdaPoly of degree
+    >= 1) prints in parentheses after a ``+``, as ``(lambda + 1)*x``.
+    """
+    parts: list[str] = []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
+        if not c:
+            continue
+        xs = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
+        if isinstance(c, LambdaPoly):
+            if c.degree > 0:
+                body = f"({c})*{xs}" if xs else f"({c})"
+                parts.append(f"+ {body}" if parts else body)
+                continue
+            c = c.constant_term
+        mag = abs(c)
+        if not xs:
+            body = format_rational(mag)
+        else:
+            body = xs if mag == 1 else f"{format_rational(mag)}*{xs}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def coerce_scalar(value):
@@ -245,24 +277,7 @@ class LambdaPoly:
         return (self.degree <= 0, self.constant_term)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for d in range(self.degree, -1, -1):
-            c = self._coeffs[d]
-            if not c:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = format_rational(mag)
-            else:
-                lam = "lambda" if d == 1 else f"lambda^{d}"
-                body = lam if mag == 1 else f"{format_rational(mag)}*{lam}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self._coeffs, "lambda")
 
     def __repr__(self) -> str:
         return f"LambdaPoly({self})"

@@ -8,12 +8,19 @@ themselves.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from polybern.polynomials import Polynomial
 from polybern.ring import LambdaPoly
 from polybern.series import Series
+
+# The CLI tests run ``python -m polybern`` in a subprocess; point it at this
+# checkout's src/, as pyproject's ``pythonpath`` does for pytest itself.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def bernoulli_oracle(count: int) -> list[Fraction]:

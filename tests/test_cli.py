@@ -152,6 +152,9 @@ def test_bad_usage_exits_two():
     assert run_cli("eval", "li(2,t)", "--order", "0").returncode == 2
     assert run_cli("verify", "t==t", "--order", "0").returncode == 2
     assert run_cli("verify", "thm1", "--n", "-1").returncode == 2
+    assert run_cli("verify", "lambda0", "--order", "1").returncode == 2
+    assert run_cli("verify", "lambda0", "--n", "5", "--order", "3").returncode == 2
+    assert run_cli("eval", "²").returncode == 2
 
 
 # -- poly -------------------------------------------------------------------------

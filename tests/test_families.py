@@ -248,6 +248,8 @@ def test_unknown_family_and_missing_k():
         families.table("dpb-higher", 4, k=1, r=0)
     with pytest.raises(PolybernError):
         families.polynomial("daehee", 3, 5)
+    with pytest.raises(PolybernError):
+        families.dpb_poly(None, 2, 4)
 
 
 def test_every_exported_name_resolves():

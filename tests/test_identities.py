@@ -143,6 +143,9 @@ def test_perturbed_higher_table_breaks_remark_and_thm4():
         assert w is not None and w.n == n0
         w = check_thm4(bad, 2, 2, 7, 9, rng, 1, 5)
         assert w is not None and w.n == n0
+        # thm1's route: check_thm4 at r = 1 on the dpb table
+        w = check_thm4(perturbed(base, n0), 2, 1, 7, 9, rng, 1, 5)
+        assert w is not None and w.n == n0
 
 
 def test_perturbed_table_breaks_eq17():

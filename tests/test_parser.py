@@ -112,6 +112,11 @@ def test_syntax_error_offset_and_expected():
         parse("t + 3/0")
     assert exc.value.offset == 4
 
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("²")  # a digit, but not a decimal one
+    assert exc.value.offset == 0
+    assert "unexpected character" in str(exc.value)
+
 
 def test_non_integer_exponent_rejected():
     with pytest.raises(ExprSyntaxError) as exc:

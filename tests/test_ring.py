@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from polybern.polynomials import Polynomial
 from polybern.ring import (
     LAMBDA,
     LambdaPoly,
@@ -12,6 +13,7 @@ from polybern.ring import (
     lambda_eval,
     lambda_is_constant,
 )
+from polybern.series import Series
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 lambda_polys = st.lists(fractions, max_size=4).map(LambdaPoly)
@@ -132,3 +134,8 @@ def test_rendering_grammar():
 def test_invalid_power():
     with pytest.raises(ValueError):
         LAMBDA ** (-1)
+
+
+def test_first_power_is_the_value_itself():
+    for x in (lp(1, 2), Polynomial((1, LAMBDA)), Series((0, 1, LAMBDA))):
+        assert x ** 1 is x
