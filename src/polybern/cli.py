@@ -118,7 +118,7 @@ def _lambda_mode(text: str):
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k", type=int, default=None,
-                        help="polylog order (any sign)")
+                        help=f"polylog order (any sign, |k| <= {families.MAX_ABS_K})")
     common.add_argument("--r", type=int, default=1,
                         help="family order (default 1)")
     common.add_argument("--n", type=int, default=None,

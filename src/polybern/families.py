@@ -5,6 +5,15 @@ Q[lambda], and table entry n is n! times the coefficient of t^n. The
 (1 + lambda*t)^(c/lambda) building block is never represented with a
 symbolic exponent; its t^n coefficient is the product
 c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside Q[lambda].
+
+For poly-bernoulli, dpb, dpb-higher and carlitz the table is primary and
+the gf is built from it. The poly-Bernoulli table is Kaneko's finite sum,
+and since (1 + lambda*t)^(c/lambda) = e^(c*L) with
+L = log(1 + lambda*t)/lambda, each degenerate gf is a classical one
+composed with L, whose table is a finite sum over the Stirling numbers of
+the first kind. No series over Q[lambda] is composed, multiplied or
+divided. The series routes these sums replace are kept in ``identities``
+as independent oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
@@ -21,6 +30,7 @@ from .series import Series
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "MAX_ABS_K",
     "FAMILY_IDS",
     "SequenceTable",
     "elam",
@@ -40,12 +50,19 @@ __all__ = [
     "dpb_higher_numbers",
     "dpb_higher_poly",
     "binomial_poly",
+    "check_k",
     "table",
     "polynomial",
     "canonical_expression",
 ]
 
 DEFAULT_PRECISION = 32
+
+# Largest |k| accepted for the polylog order. Table entries carry
+# (m + 1)^|k| for every m below the precision, so their size grows with |k|
+# and an unbounded k never finishes; at |k| = 100 a 64-entry dpb-higher
+# table of order 3 takes about 2 s on a 2-vCPU VM.
+MAX_ABS_K = 100
 
 FAMILY_IDS = ("bernoulli", "daehee", "carlitz", "poly-bernoulli", "dpb", "dpb-higher")
 
@@ -61,8 +78,7 @@ class SequenceTable:
 
     @classmethod
     def from_series(cls, family: str, gf: Series, k: int | None = None, r: int = 1):
-        vals = tuple(factorial(n) * gf[n] for n in range(gf.precision))
-        return cls(family, k, r, vals)
+        return cls(family, k, r, tuple(_values(gf)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -76,6 +92,56 @@ class SequenceTable:
 
     def rows(self):
         return list(enumerate(self.values))
+
+
+def _values(gf: Series) -> list:
+    """The table of a gf: entry n is n! [t^n] gf."""
+    return [factorial(n) * c for n, c in enumerate(gf)]
+
+
+def _series(values) -> Series:
+    """The gf of a table: the t^n coefficient is values[n]/n!."""
+    return Series([v / factorial(n) for n, v in enumerate(values)])
+
+
+def _kaneko(k: int, count: int) -> list[Fraction]:
+    """PB_0..PB_(count-1), the table of Li_k(1 - e^(-t))/(e^t - 1).
+
+    Kaneko's sum B_n^(k) = (-1)^n sum_m (-1)^m m! S(n, m)/(m + 1)^k is the
+    table of Li_k(1 - e^(-t))/(1 - e^(-t)), with S the Stirling numbers of
+    the second kind. The gf here is that one times e^(-t), and
+    e^(-t)(1 - e^(-t))^m = (1 - e^(-t))^m - (1 - e^(-t))^(m+1), which turns
+    m! S(n, m) into m! S(n+1, m+1):
+    PB_n = (-1)^n sum_m (-1)^m m! S(n+1, m+1)/(m + 1)^k.
+    Every sum is taken in integers over one common denominator, so each
+    entry reduces once.
+    """
+    if k > 0:
+        den = lcm(*range(1, count + 1)) ** k
+        weights = [den // (m + 1) ** k for m in range(count)]
+    else:
+        den = 1
+        weights = [(m + 1) ** -k for m in range(count)]
+    out = []
+    row = [1]  # (-1)^m m! S(n+1, m+1) for m = 0..n
+    for n in range(count):
+        num = sum(c * w for c, w in zip(row, weights))
+        out.append(Fraction(num if n % 2 == 0 else -num, den))
+        # S(n+2, m+1) = (m+1) S(n+1, m+1) + S(n+1, m), scaled by (-1)^m m!
+        row = [(m + 1) * c - m * prev
+               for m, (c, prev) in enumerate(zip(row + [0], [0] + row))]
+    return out
+
+
+def _stirling1_rows(count: int):
+    """Rows s(n, 0..n), n < count, of the signed Stirling numbers of the
+    first kind: n! [t^n] L^m = m! s(n, m) lambda^(n-m) for
+    L = log(1 + lambda*t)/lambda."""
+    row = [1]
+    for n in range(count):
+        yield row
+        # s(n+1, m) = s(n, m-1) - n s(n, m)
+        row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
 
 
 @lru_cache(maxsize=None)
@@ -131,9 +197,21 @@ def daehee(precision: int = DEFAULT_PRECISION) -> SequenceTable:
 
 @lru_cache(maxsize=None)
 def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/((1 + lambda*t)^(1/lambda) - 1)."""
-    n = precision + 1
-    return Series.t(n).div(elam(1, n) - 1)
+    """t/((1 + lambda*t)^(1/lambda) - 1).
+
+    This is (t/L) * B(L), with B = bernoulli_gf = sum_m B_m x^m/m!. Its
+    m = 0 term is t/L = G(lambda*t), where G = t/log(1 + t) = 1/daehee_gf
+    is a series over Q with table g. For m >= 1, (t/L) L^m/m! is
+    t L^(m-1)/m!, whose table entry n is (n/m) s(n-1, m-1) lambda^(n-m).
+    So entry n is g_n lambda^n + sum_(m=1..n) (n/m) s(n-1, m-1) B_m lambda^(n-m).
+    """
+    bern = bernoulli(precision).values
+    g = _values(Series.one(precision).div(daehee_gf(precision)))
+    out = [g[0]]
+    for n, row in enumerate(_stirling1_rows(precision - 1), start=1):
+        out.append(LambdaPoly([n * row[m - 1] * bern[m] / m for m in range(n, 0, -1)]
+                              + [g[n]]))
+    return _series(out)
 
 
 def carlitz_beta(precision: int = DEFAULT_PRECISION) -> SequenceTable:
@@ -164,10 +242,8 @@ def carlitz_beta_poly(n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Li_k(1 - e^(-t)) / (e^t - 1), over Q."""
-    n = precision + 1
-    z = 1 - (-Series.t(n)).exp()
-    return polylog_series(k, n).compose(z).div(_exp_t(n) - 1)
+    """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
+    return _series(_kaneko(k, precision))
 
 
 def poly_bernoulli(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
@@ -177,9 +253,7 @@ def poly_bernoulli(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
 @lru_cache(maxsize=None)
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
-    n = precision + 1
-    z = 1 - elam(-1, n)
-    return polylog_series(k, n).compose(z).div(elam(1, n) - 1)
+    return dpb_higher_gf(k, 1, precision)
 
 
 def dpb_numbers(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
@@ -192,9 +266,16 @@ def dpb_poly(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
+    """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
+    L = log(1 + lambda*t)/lambda, so its r-th power is f(L) for f =
+    poly_bernoulli_gf(k)^r, a power over Q. With c the table of f, entry n
+    of f(L) is the lambda polynomial whose lambda^(n-m) coefficient is
+    s(n, m) c_m."""
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
-    return dpb_gf(k, precision) ** r
+    c = _values(poly_bernoulli_gf(k, precision) ** r)
+    return _series(LambdaPoly([row[m] * c[m] for m in range(n, -1, -1)])
+                   for n, row in enumerate(_stirling1_rows(precision)))
 
 
 def dpb_higher_numbers(k: int, r: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
@@ -205,13 +286,21 @@ def dpb_higher_poly(k: int, r: int, n: int, precision: int = DEFAULT_PRECISION) 
     return polynomial("dpb-higher", n, precision, k=k, r=r)
 
 
+def check_k(k: int):
+    """Reject a polylog order outside -MAX_ABS_K..MAX_ABS_K."""
+    if abs(k) > MAX_ABS_K:
+        raise PolybernError(f"polylog order k must satisfy |k| <= {MAX_ABS_K}, got {k}")
+
+
 def _validate(family: str, k: int | None, r: int):
     if family not in FAMILY_IDS:
         raise PolybernError(
             f"unknown family '{family}' (expected one of {', '.join(FAMILY_IDS)})"
         )
-    if family in ("poly-bernoulli", "dpb", "dpb-higher") and k is None:
-        raise PolybernError(f"family '{family}' needs a polylog order --k")
+    if family in ("poly-bernoulli", "dpb", "dpb-higher"):
+        if k is None:
+            raise PolybernError(f"family '{family}' needs a polylog order --k")
+        check_k(k)
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
 

@@ -43,6 +43,8 @@ CATALOG_IDS = (
     "sheffer23",
     "k0",
     "lambda0",
+    "stirling1",
+    "kaneko",
 )
 
 DEFAULT_YS = (Fraction(1), Fraction(-2), Fraction(3, 5))
@@ -136,13 +138,19 @@ def _integrate_termwise(p: Polynomial, bvals: list[Fraction]) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _dpb_series(k: int, precision: int) -> Series:
+    """Li_k(1 - elam(-1)) / (elam(1) - 1) by series composition and division
+    over Q[lambda], not by the Stirling sums of the families module."""
+    n = precision + 1
+    z = 1 - families.elam(-1, n)
+    return families.polylog_series(k, n).compose(z).div(families.elam(1, n) - 1)
+
+
+@lru_cache(maxsize=None)
 def _a_series(k: int, precision: int) -> Series:
     """((e^t - 1)/t) * Li_k(1 - elam(-1)) / (elam(1) - 1), assembled here
     rather than taken from the families module."""
-    n = precision + 1
-    z = 1 - families.elam(-1, n)
-    num = families.polylog_series(k, n).compose(z)
-    return _expm1_over_t(n) * num.div(families.elam(1, n) - 1)
+    return _expm1_over_t(precision) * _dpb_series(k, precision)
 
 
 @lru_cache(maxsize=None)
@@ -156,15 +164,6 @@ def _shift_operator(y: Fraction, precision: int) -> Series:
     """(e^(y t) - 1)/t."""
     n = precision + 1
     return ((Series.t(n) * y).exp() - 1).div(Series.t(n))
-
-
-def _compositions(n: int, r: int):
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
 
 
 def _poly_from_product_series(s: Series, n: int) -> Polynomial:
@@ -272,17 +271,19 @@ def check_thm4(tbl: families.SequenceTable, k: int, r: int, nmax: int,
 
 def check_remark(higher: families.SequenceTable, base: families.SequenceTable,
                  r: int, nmax: int, lam=None) -> Witness | None:
-    """Multinomial convolution; the right side uses only the r = 1 table."""
+    """Multinomial convolution; the right side uses only the r = 1 table.
+
+    The sum over compositions n = n_1 + ... + n_r of n!/(n_1!...n_r!) times
+    the product of base values is the r-fold binomial convolution of the
+    base table with itself, built one factor at a time.
+    """
+    b = [base.value(n) for n in range(nmax + 1)]
+    rhs = b
+    for _ in range(r - 1):
+        rhs = [sum(comb(n, i) * rhs[i] * b[n - i] for i in range(n + 1))
+               for n in range(nmax + 1)]
     for n in range(nmax + 1):
-        rhs = Fraction(0)
-        for parts in _compositions(n, r):
-            coeff = factorial(n)
-            prod = Fraction(1)
-            for ni in parts:
-                coeff //= factorial(ni)
-                prod = prod * base.value(ni)
-            rhs = rhs + coeff * prod
-        ok, ls, rs = _cmp_scalars(higher.value(n), rhs, lam)
+        ok, ls, rs = _cmp_scalars(higher.value(n), rhs[n], lam)
         if not ok:
             return Witness(n, ls, rs)
     return None
@@ -323,16 +324,49 @@ def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
 
 
 def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
-    """lambda -> 0 specialization agrees with the classical gf coefficients."""
+    """lambda -> 0 specialization of the series-route gf agrees with the
+    classical gf coefficients (Kaneko's sum, in the families module)."""
     if nmax >= precision:
         raise PrecisionExceeded(f"n = {nmax} exceeds precision {precision}")
-    degen = families.dpb_gf(k, precision).specialize(0)
+    degen = _dpb_series(k, precision).specialize(0)
     plain = families.poly_bernoulli_gf(k, precision)
     for n in range(nmax + 1):
         ok, ls, rs = _cmp_scalars(degen[n], plain[n], None)
         if not ok:
             return Witness(n, ls, rs)
     return None
+
+
+def _cmp_table(tbl: families.SequenceTable, gf: Series, nmax: int,
+               lam) -> Witness | None:
+    """First n <= nmax at which the table entry is not n! [t^n] gf."""
+    for n in range(nmax + 1):
+        ok, ls, rs = _cmp_scalars(tbl.value(n), factorial(n) * gf[n], lam)
+        if not ok:
+            return Witness(n, ls, rs)
+    return None
+
+
+def check_stirling1(higher: families.SequenceTable, cz: families.SequenceTable,
+                    k: int, r: int, nmax: int, precision: int,
+                    lam=None) -> Witness | None:
+    """The Stirling-sum tables against the series routes: dpb-higher against
+    the r-th power of the composed-and-divided gf, Carlitz against
+    t/(elam(1) - 1) by series division."""
+    n = precision + 1
+    carlitz = Series.t(n).div(families.elam(1, n) - 1)
+    return (_cmp_table(higher, _dpb_series(k, precision) ** r, nmax, lam)
+            or _cmp_table(cz, carlitz, nmax, lam))
+
+
+def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
+                 lam=None) -> Witness | None:
+    """Kaneko's sum against Li_k(1 - e^(-t))/(e^t - 1) by series
+    composition and division over Q."""
+    n = precision + 1
+    z = 1 - (-Series.t(n)).exp()
+    gf = families.polylog_series(k, n).compose(z).div(families._exp_t(n) - 1)
+    return _cmp_table(tbl, gf, nmax, lam)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -348,6 +382,8 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     nmax = 8 if nmax is None else nmax
     if nmax < 0:
         raise PolybernError(f"nmax must be >= 0, got {nmax}")
+    if k is not None:
+        families.check_k(k)
     r = 1 if r is None else r
     n_random = 3 if n_random is None else n_random
     max_degree = 8 if max_degree is None else max_degree
@@ -414,10 +450,21 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
         p = order or (nmax + 1)
         witness = check_k0(nmax, p, lam)
         params.update(nmax=nmax)
-    else:  # lambda0
+    elif ident == "lambda0":
         k = 2 if k is None else k
         p = order or (nmax + 1)
         witness = check_lambda0(k, nmax, p, lam)
+        params.update(k=k, nmax=nmax)
+    elif ident == "stirling1":
+        k = 2 if k is None else k
+        p = order or (nmax + 1)
+        witness = check_stirling1(families.dpb_higher_numbers(k, r, p),
+                                  families.carlitz_beta(p), k, r, nmax, p, lam)
+        params.update(k=k, r=r, nmax=nmax)
+    else:  # kaneko
+        k = 2 if k is None else k
+        p = order or (nmax + 1)
+        witness = check_kaneko(families.poly_bernoulli(k, p), k, nmax, p, lam)
         params.update(k=k, nmax=nmax)
 
     if ys_used is not None:

@@ -33,7 +33,7 @@ def _clear_caches():
     for fn in (families.elam, families.polylog_series, families.bernoulli_gf,
                families.daehee_gf, families.carlitz_gf, families.poly_bernoulli_gf,
                families.dpb_gf, families.dpb_higher_gf, families._exp_t,
-               identities._a_series, identities._expm1_over_t):
+               identities._dpb_series, identities._a_series, identities._expm1_over_t):
         fn.cache_clear()
 
 

@@ -155,6 +155,7 @@ def test_bad_usage_exits_two():
     assert run_cli("verify", "lambda0", "--order", "1").returncode == 2
     assert run_cli("verify", "lambda0", "--n", "5", "--order", "3").returncode == 2
     assert run_cli("eval", "²").returncode == 2
+    assert run_cli("table", "poly-bernoulli", "--k", "99999999", "--n", "3").returncode == 2
 
 
 # -- poly -------------------------------------------------------------------------

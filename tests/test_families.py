@@ -158,10 +158,58 @@ def test_dpb_k1_specializes_to_bernoulli():
 
 
 def test_dpb_matches_classical_gf_at_lambda_zero():
+    # at lambda = 0 the Stirling sum is the Kaneko table itself, so the
+    # classical side is the series assembly, not poly_bernoulli_gf
     for k in range(-3, 4):
         degen = families.dpb_gf(k, 21).specialize(0)
-        plain = families.poly_bernoulli_gf(k, 21)
-        assert degen == plain
+        assert degen == series_poly_bernoulli(k, 21)
+
+
+# -- closed-form tables against series assembly ------------------------------------
+
+
+def series_poly_bernoulli(k, n):
+    # Li_k(1 - e^(-t)) / (e^t - 1) by composition and division over Q
+    m = n + 1
+    z = 1 - (-Series.t(m)).exp()
+    return families.polylog_series(k, m).compose(z).div(Series.t(m).exp() - 1)
+
+
+def series_dpb(k, n):
+    # Li_k(1 - elam(-1)) / (elam(1) - 1) by composition and division over Q[lambda]
+    m = n + 1
+    z = 1 - families.elam(-1, m)
+    return families.polylog_series(k, m).compose(z).div(families.elam(1, m) - 1)
+
+
+def series_table(gf):
+    return tuple(factorial(n) * gf[n] for n in range(gf.precision))
+
+
+def test_dpb_table_matches_series_assembly():
+    for k in range(-3, 4):
+        for n in (1, 2, 7, 20):
+            assert families.dpb_numbers(k, n).values == series_table(series_dpb(k, n)), (k, n)
+
+
+def test_dpb_higher_table_matches_series_assembly():
+    for k in (-2, 1, 3):
+        gf = series_dpb(k, 12)
+        for r in (1, 2, 3):
+            got = families.dpb_higher_numbers(k, r, 12).values
+            assert got == series_table(gf ** r), (k, r)
+
+
+def test_carlitz_table_matches_series_assembly():
+    for n in (1, 2, 9, 20):
+        gf = Series.t(n + 1).div(families.elam(1, n + 1) - 1)
+        assert families.carlitz_beta(n).values == series_table(gf), n
+
+
+def test_poly_bernoulli_table_matches_series_assembly():
+    for k in range(-3, 4):
+        got = families.poly_bernoulli(k, 64).values
+        assert got == series_table(series_poly_bernoulli(k, 64)), k
 
 
 def test_dpb_poly_examples():
@@ -250,6 +298,11 @@ def test_unknown_family_and_missing_k():
         families.polynomial("daehee", 3, 5)
     with pytest.raises(PolybernError):
         families.dpb_poly(None, 2, 4)
+    with pytest.raises(PolybernError):
+        families.table("poly-bernoulli", 3, k=families.MAX_ABS_K + 1)
+    with pytest.raises(PolybernError):
+        families.table("dpb", 3, k=-families.MAX_ABS_K - 1)
+    assert families.table("dpb", 3, k=-families.MAX_ABS_K).value(0) == 1
 
 
 def test_every_exported_name_resolves():

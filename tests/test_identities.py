@@ -8,7 +8,7 @@ import pytest
 
 from conftest import bernoulli_oracle
 from polybern import families
-from polybern.errors import UnknownIdentity
+from polybern.errors import PolybernError, UnknownIdentity
 from polybern.identities import (
     CATALOG_IDS,
     IdentityReport,
@@ -16,7 +16,9 @@ from polybern.identities import (
     check_eq5,
     check_eq17,
     check_eq18,
+    check_kaneko,
     check_remark,
+    check_stirling1,
     check_thm4,
     verify,
 )
@@ -40,7 +42,7 @@ def test_triangular_bernoulli_matches_known_values():
 def test_catalog_ids_complete():
     assert set(CATALOG_IDS) == {
         "eq5", "eq17", "eq18", "thm1", "thm2", "thm3", "thm4",
-        "remark", "sheffer16", "sheffer23", "k0", "lambda0",
+        "remark", "sheffer16", "sheffer23", "k0", "lambda0", "stirling1", "kaneko",
     }
 
 
@@ -49,10 +51,19 @@ def test_unknown_identity():
         verify("fermat")
 
 
+def test_polylog_order_is_bounded():
+    with pytest.raises(PolybernError):
+        verify("kaneko", k=families.MAX_ABS_K + 1)
+    with pytest.raises(PolybernError):
+        verify("k0", k=-families.MAX_ABS_K - 1)
+
+
 def test_spec_examples_pass():
     assert verify("remark", k=2, r=2, nmax=10).passed
     assert verify("k0", nmax=20).passed
     assert verify("eq18", k=1, nmax=8, ys=(1, -2, Fraction(3, 5))).passed
+    # the r-fold binomial convolution, not one term per composition of n
+    assert verify("remark", k=2, r=40, nmax=12).passed
 
 
 @pytest.mark.parametrize("ident", CATALOG_IDS)
@@ -146,6 +157,22 @@ def test_perturbed_higher_table_breaks_remark_and_thm4():
         # thm1's route: check_thm4 at r = 1 on the dpb table
         w = check_thm4(perturbed(base, n0), 2, 1, 7, 9, rng, 1, 5)
         assert w is not None and w.n == n0
+
+
+def test_perturbed_tables_break_stirling1_and_kaneko():
+    p, nmax = 10, 9
+    higher = families.dpb_higher_numbers(2, 2, p)
+    cz = families.carlitz_beta(p)
+    pb = families.poly_bernoulli(-1, p)
+    assert check_stirling1(higher, cz, 2, 2, nmax, p) is None
+    assert check_kaneko(pb, -1, nmax, p) is None
+    for n0 in range(nmax + 1):
+        w = check_stirling1(perturbed(higher, n0), cz, 2, 2, nmax, p)
+        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        w = check_stirling1(higher, perturbed(cz, n0), 2, 2, nmax, p)
+        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        w = check_kaneko(perturbed(pb, n0), -1, nmax, p)
+        assert w is not None and w.n == n0 and w.lhs != w.rhs
 
 
 def test_perturbed_table_breaks_eq17():
