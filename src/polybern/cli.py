@@ -22,6 +22,17 @@ from .ring import format_scalar, lambda_eval
 
 DEFAULT_ORDER = families.DEFAULT_PRECISION
 
+BOUNDS_TEXT = (
+    f"Bounds: |k| <= {families.MAX_ABS_K} and r <= {families.MAX_R}; --n <= "
+    f"{families.MAX_PRECISION} for table and poly; --order <= {families.MAX_PRECISION} for "
+    f"eval and an 'lhs == rhs' equation; --order <= {families.MAX_CHECK_PRECISION} and "
+    f"--n <= {families.MAX_CHECK_PRECISION - 2} for a catalog identity. A larger value "
+    "exits 2. The slowest runs measured at the bounds, on a 2-vCPU VM: computing the "
+    "dpb-higher table at |k| = 100, r = 40, --n 128 takes 220 s, and the series of "
+    "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 125 s; "
+    "verify remark --k 100 --r 40 --n 30 takes 20 s. The cost of eval also grows "
+    "with the size of the expression.")
+
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -120,11 +131,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, default=None,
                         help=f"polylog order (any sign, |k| <= {families.MAX_ABS_K})")
     common.add_argument("--r", type=int, default=1,
-                        help="family order (default 1)")
+                        help=f"family order (default 1, r <= {families.MAX_R})")
     common.add_argument("--n", type=int, default=None,
-                        help="row count / index / identity range")
+                        help=f"row count / index (<= {families.MAX_PRECISION}) / identity "
+                             f"range (<= {families.MAX_CHECK_PRECISION - 2})")
     common.add_argument("--order", type=int, default=None,
-                        help=f"working precision (default {DEFAULT_ORDER})")
+                        help=f"working precision (default {DEFAULT_ORDER}; <= "
+                             f"{families.MAX_PRECISION}, or <= {families.MAX_CHECK_PRECISION} "
+                             f"for a catalog identity)")
     common.add_argument("--lambda", dest="lam", type=_lambda_mode, default=None,
                         metavar="RAT|symbolic",
                         help="specialize lambda to an exact rational (default symbolic)")
@@ -136,7 +150,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="polybern",
         description="Exact degenerate poly-Bernoulli tables, polynomials and "
-                    "identity verification over Q[lambda].")
+                    "identity verification over Q[lambda].",
+        epilog=BOUNDS_TEXT)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", parents=[common],

@@ -31,6 +31,9 @@ from .series import Series
 __all__ = [
     "DEFAULT_PRECISION",
     "MAX_ABS_K",
+    "MAX_R",
+    "MAX_PRECISION",
+    "MAX_CHECK_PRECISION",
     "FAMILY_IDS",
     "SequenceTable",
     "elam",
@@ -51,6 +54,8 @@ __all__ = [
     "dpb_higher_poly",
     "binomial_poly",
     "check_k",
+    "check_r",
+    "check_precision",
     "table",
     "polynomial",
     "canonical_expression",
@@ -63,6 +68,23 @@ DEFAULT_PRECISION = 32
 # and an unbounded k never finishes; at |k| = 100 a 64-entry dpb-higher
 # table of order 3 takes about 2 s on a 2-vCPU VM.
 MAX_ABS_K = 100
+
+# Largest order r of the higher-order families and identities. The order-r
+# table is an r-th power and `remark` an r-fold convolution, so the work and
+# the size of the entries grow with r; an unbounded r never finishes.
+MAX_R = 40
+
+# Largest working precision of a table, a polynomial or an evaluated
+# expression. The closed-form tables cost O(N^2) big-number terms and a
+# series composition O(N^3) Q[lambda] products, so an unbounded N never
+# finishes.
+MAX_PRECISION = 128
+
+# Largest working precision of a catalog identity check; the widest checks
+# run at precision n + 2. The checks pair, shift and invert series and
+# polynomials over Q[lambda] at O(N^4) and more, so they get a lower bound
+# than the tables.
+MAX_CHECK_PRECISION = 32
 
 FAMILY_IDS = ("bernoulli", "daehee", "carlitz", "poly-bernoulli", "dpb", "dpb-higher")
 
@@ -292,7 +314,19 @@ def check_k(k: int):
         raise PolybernError(f"polylog order k must satisfy |k| <= {MAX_ABS_K}, got {k}")
 
 
-def _validate(family: str, k: int | None, r: int):
+def check_r(r: int):
+    """Reject a family order r above MAX_R."""
+    if r > MAX_R:
+        raise PolybernError(f"order r must satisfy r <= {MAX_R}, got {r}")
+
+
+def check_precision(n: int, name: str = "precision", limit: int = MAX_PRECISION):
+    """Reject a precision, order or index range ``name`` above ``limit``."""
+    if n > limit:
+        raise PolybernError(f"{name} must satisfy {name} <= {limit}, got {n}")
+
+
+def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECISION):
     if family not in FAMILY_IDS:
         raise PolybernError(
             f"unknown family '{family}' (expected one of {', '.join(FAMILY_IDS)})"
@@ -303,12 +337,14 @@ def _validate(family: str, k: int | None, r: int):
         check_k(k)
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
+    check_r(r)
+    check_precision(precision)
 
 
 def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
           r: int = 1) -> SequenceTable:
     """SequenceTable for a family identifier (the CLI entry point)."""
-    _validate(family, k, r)
+    _validate(family, k, r, precision)
     if family == "bernoulli":
         return bernoulli(precision)
     if family == "daehee":
@@ -331,7 +367,7 @@ def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,
     """
     if family == "daehee":
         raise PolybernError(f"family '{family}' has no polynomial form")
-    _validate(family, k, r)
+    _validate(family, k, r, precision)
     if family == "carlitz":
         return carlitz_beta_poly(n, precision)
     if n >= precision:

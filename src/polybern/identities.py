@@ -382,9 +382,14 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     nmax = 8 if nmax is None else nmax
     if nmax < 0:
         raise PolybernError(f"nmax must be >= 0, got {nmax}")
+    limit = families.MAX_CHECK_PRECISION
+    families.check_precision(nmax + 2, "nmax + 2", limit)
+    if order is not None:
+        families.check_precision(order, "order", limit)
     if k is not None:
         families.check_k(k)
     r = 1 if r is None else r
+    families.check_r(r)
     n_random = 3 if n_random is None else n_random
     max_degree = 8 if max_degree is None else max_degree
     rng = random.Random(seed)

@@ -443,6 +443,7 @@ def _eval(node: _Node, n: int) -> Series:
                 return _eval(node.args[0], n).exp()
             if node.name == "li":
                 k = node.args[0].value.numerator
+                families.check_k(k)
                 inner = _eval(node.args[1], n)
                 return families.polylog_series(k, n).compose(inner)
             return families.elam(node.args[0].value, n)
@@ -456,5 +457,7 @@ def eval_expr(node: _Node, precision: int) -> Series:
 
     Each division that hits the one-t-cancellation rule costs one order, so
     evaluation runs at precision + (number of Div nodes) and truncates.
+    ``precision`` may not exceed ``families.MAX_PRECISION``.
     """
+    families.check_precision(precision, "order")
     return _eval(node, precision + _count_divs(node)).truncate(precision)

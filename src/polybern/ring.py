@@ -2,19 +2,25 @@
 
 Rationals are stdlib ``fractions.Fraction`` values, which are always stored
 fully reduced with a positive denominator, so equality is structural.
-``LambdaPoly`` is a dense polynomial in the indeterminate ``lambda`` with
-Fraction coefficients; plain rationals embed implicitly as degree-0
-polynomials, so mixed arithmetic needs no explicit coercion at call sites.
+``LambdaPoly`` is a dense polynomial in the indeterminate ``lambda`` over Q,
+stored as a row of integer numerators over one positive common denominator
+and kept canonical (no trailing zero, the gcd of the denominator and all
+numerators is 1). Its arithmetic runs on the integer rows and divides out
+one gcd per operation, not one Fraction reduction per coefficient. Plain
+rationals embed implicitly as degree-0 polynomials, so mixed arithmetic
+needs no explicit coercion at call sites.
 
-This module also owns the dense coefficient kernel that ``LambdaPoly``,
-``Polynomial`` (Q[lambda][x]) and ``Series`` (truncated series in t) share:
-coefficient lists stored low degree first, with trimming, addition,
-truncated multiplication, Horner evaluation and powers defined once here.
+This module also owns the dense coefficient kernel that ``Polynomial``
+(Q[lambda][x]) and ``Series`` (truncated series in t) share over their
+Fraction or LambdaPoly coefficients: coefficient lists stored low degree
+first, with trimming, addition, truncated multiplication, Horner evaluation
+and powers defined once here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -139,21 +145,48 @@ def _as_fraction(value) -> Fraction | None:
     return None
 
 
-class LambdaPoly:
-    """Polynomial in lambda over Q, stored dense, low degree first.
+def _lp(num: tuple, den: int) -> LambdaPoly:
+    """A LambdaPoly of a row already in canonical form."""
+    p = object.__new__(LambdaPoly)
+    p._num = num
+    p._den = den
+    return p
 
-    Values are immutable and kept canonical: the stored coefficient tuple
-    never has a zero in the highest slot (the zero polynomial stores
-    nothing at all).
+
+def _normalised(num: list, den: int) -> LambdaPoly:
+    """The LambdaPoly ``num / den`` for an integer row and ``den > 0``: trims
+    ``num`` in place and divides out one gcd."""
+    trim(num)
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _lp(tuple(num), den)
+
+
+class LambdaPoly:
+    """Polynomial in lambda over Q: integer numerators over one denominator.
+
+    The value ``(n_0 + n_1*lambda + ... + n_d*lambda^d) / den`` is stored as
+    the tuple ``_num = (n_0, ..., n_d)`` of ints and one int ``_den``.
+    Values are immutable and kept canonical, so equality is structural:
+    ``_den > 0``, ``_num`` has no trailing zero, ``gcd(_den, *_num) == 1``,
+    and the zero polynomial is ``((), 1)``. Every operation works on the
+    integer rows and divides out one gcd at the end. The constructor takes
+    Fractions or ints, and ``coeffs`` and ``constant_term`` build Fractions
+    on demand.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        # Fraction(c) costs a Python call even when c is already a Fraction,
-        # and kernel results always are.
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "_coeffs", tuple(trim(cs)))
+        # Fraction(c) costs a Python call even when c is already a Fraction.
+        cs = trim([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+        # With den the lcm of the reduced denominators, some prime power of
+        # den divides no numerator, so the row is canonical as built.
+        den = lcm(*[c.denominator for c in cs])
+        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
 
     @classmethod
     def constant(cls, value) -> LambdaPoly:
@@ -167,38 +200,54 @@ class LambdaPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else _ZERO
+        return Fraction(self._num[0], self._den) if self._num else _ZERO
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, LambdaPoly):
             return other
-        q = _as_fraction(other)
+        # isinstance(other, Fraction) goes through the numbers ABCs; the
+        # exact type test is the fast path for the two common scalars.
+        q = other if type(other) in (Fraction, int) else _as_fraction(other)
         if q is None:
             return None
-        return LambdaPoly((q,))
+        return _lp((q.numerator,) if q else (), q.denominator)
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return LambdaPoly(add_coeffs(self._coeffs, rhs._coeffs))
+        a, b = self._num, rhs._num
+        if not b:
+            return self
+        if not a:
+            return rhs
+        da, db = self._den, rhs._den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
+        return _normalised(add_coeffs(a, b), da)
 
     __radd__ = __add__
 
     def __neg__(self) -> LambdaPoly:
-        return LambdaPoly(tuple(-c for c in self._coeffs))
+        return _lp(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -216,8 +265,13 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._coeffs, rhs._coeffs
-        return LambdaPoly(mul_coeffs(a, b, len(a) + len(b) - 1))
+        a, b = self._num, rhs._num
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _normalised(out, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -225,7 +279,8 @@ class LambdaPoly:
         q = _as_fraction(other)
         if q is None:
             return NotImplemented
-        return LambdaPoly(tuple(c / q for c in self._coeffs))
+        inv = 1 / q  # a reduced Fraction with positive denominator
+        return _normalised([c * inv.numerator for c in self._num], self._den * inv.denominator)
 
     def __pow__(self, n: int) -> LambdaPoly:
         if not isinstance(n, int) or n < 0:
@@ -234,16 +289,19 @@ class LambdaPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LambdaPoly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         q = _as_fraction(other)
         if q is None:
             return NotImplemented
-        return self.degree <= 0 and self.constant_term == q
+        if not self._num:
+            return not q
+        return (len(self._num) == 1 and self._num[0] == q.numerator
+                and self._den == q.denominator)
 
     def __hash__(self):
-        if self.degree <= 0:
+        if len(self._num) <= 1:
             return hash(self.constant_term)
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def divide_exact(self, other: LambdaPoly) -> LambdaPoly | None:
         """Exact polynomial quotient self/other, or None if it does not divide."""
@@ -253,8 +311,8 @@ class LambdaPoly:
             return LambdaPoly()
         if self.degree < other.degree:
             return None
-        rem = list(self._coeffs)
-        dc = other._coeffs
+        rem = list(self.coeffs)
+        dc = other.coeffs
         dd = other.degree
         lead = dc[-1]
         out = [_ZERO] * (len(rem) - dd)
@@ -269,15 +327,23 @@ class LambdaPoly:
         return LambdaPoly(out)
 
     def evaluate(self, v) -> Fraction:
-        """Substitute lambda := v exactly (Horner)."""
-        return horner(self._coeffs, Fraction(v))
+        """Substitute lambda := v exactly: Horner over the integers, with
+        v = p/q, and one division at the end."""
+        v = Fraction(v)
+        p, q = v.numerator, v.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._num):
+            acc = acc * p + c * qk
+            qk *= q
+        # qk is now q^(d+1); the value is acc / (den * q^d).
+        return Fraction(acc * q, self._den * qk)
 
     def is_constant(self) -> tuple[bool, Fraction]:
         """Whether degree <= 0, together with the constant term."""
         return (self.degree <= 0, self.constant_term)
 
     def __str__(self) -> str:
-        return format_terms(self._coeffs, "lambda")
+        return format_terms(self.coeffs, "lambda")
 
     def __repr__(self) -> str:
         return f"LambdaPoly({self})"

@@ -156,6 +156,11 @@ def test_bad_usage_exits_two():
     assert run_cli("verify", "lambda0", "--n", "5", "--order", "3").returncode == 2
     assert run_cli("eval", "²").returncode == 2
     assert run_cli("table", "poly-bernoulli", "--k", "99999999", "--n", "3").returncode == 2
+    assert run_cli("eval", "li(99999999, t)", "--order", "4").returncode == 2
+    assert run_cli("verify", "remark", "--r", "1000000000", "--n", "4").returncode == 2
+    assert run_cli("eval", "exp(t)", "--order", "100000000").returncode == 2
+    assert run_cli("verify", "t==t", "--order", "100000000").returncode == 2
+    assert run_cli("table", "daehee", "--n", "129", "--order", "129").returncode == 2
 
 
 # -- poly -------------------------------------------------------------------------

@@ -303,6 +303,14 @@ def test_unknown_family_and_missing_k():
     with pytest.raises(PolybernError):
         families.table("dpb", 3, k=-families.MAX_ABS_K - 1)
     assert families.table("dpb", 3, k=-families.MAX_ABS_K).value(0) == 1
+    with pytest.raises(PolybernError):
+        families.table("dpb-higher", 3, k=1, r=families.MAX_R + 1)
+    with pytest.raises(PolybernError):
+        families.table("bernoulli", families.MAX_PRECISION + 1)
+    with pytest.raises(PolybernError):
+        families.polynomial("carlitz", 2, families.MAX_PRECISION + 1)
+    assert families.table("dpb-higher", 3, k=1, r=families.MAX_R).value(0) == 1
+    assert len(families.table("bernoulli", families.MAX_PRECISION)) == families.MAX_PRECISION
 
 
 def test_every_exported_name_resolves():

@@ -58,6 +58,18 @@ def test_polylog_order_is_bounded():
         verify("k0", k=-families.MAX_ABS_K - 1)
 
 
+def test_order_and_range_are_bounded():
+    with pytest.raises(PolybernError, match="order r"):
+        verify("remark", r=families.MAX_R + 1, nmax=4)
+    top = families.MAX_CHECK_PRECISION
+    with pytest.raises(PolybernError, match="nmax"):
+        verify("k0", nmax=top - 1)
+    with pytest.raises(PolybernError, match="order"):
+        verify("thm1", order=top + 1)
+    assert verify("k0", nmax=top - 2).passed
+    assert verify("thm2", order=top).passed
+
+
 def test_spec_examples_pass():
     assert verify("remark", k=2, r=2, nmax=10).passed
     assert verify("k0", nmax=20).passed

@@ -294,3 +294,15 @@ def test_eval_errors_carry_spans():
     with pytest.raises(NonUnitLeadingCoefficient) as exc:
         eval_expr(parse("1/lambda"), 6)
     assert exc.value.span == (0, 8)
+
+    with pytest.raises(PolybernError, match="polylog order") as exc:
+        eval_expr(parse("t + li(99999999, t)"), 4)
+    assert exc.value.span == (4, 19)
+
+
+def test_eval_order_is_bounded():
+    top = families.MAX_PRECISION
+    assert eval_expr(parse("li(-100, t)"), 3)[1] == 1
+    assert eval_expr(parse("exp(t)"), top)[top - 1] == Fraction(1, factorial(top - 1))
+    with pytest.raises(PolybernError, match="order"):
+        eval_expr(parse("exp(t)"), top + 1)

@@ -1,6 +1,7 @@
 """Scalar ring: rationals and Q[lambda]."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,7 @@ def test_equality_against_plain_rationals():
     assert Fraction(-3, 4) == lp(Fraction(-3, 4))
     assert lp(0, 1) != Fraction(1)
     assert lp() == 0
+    assert lp(Fraction(3, 2)) != 3 and lp(3) != Fraction(3, 2)
 
 
 @given(lambda_polys, lambda_polys, lambda_polys)
@@ -134,6 +136,108 @@ def test_rendering_grammar():
 def test_invalid_power():
     with pytest.raises(ValueError):
         LAMBDA ** (-1)
+
+
+# -- the integer-row kernel against a Fraction-list reference ---------------
+
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+rows = st.lists(wide_fractions, max_size=6)
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [Fraction(0)] * (n - len(a)), list(b) + [Fraction(0)] * (n - len(b))
+    return ref_trim(x + y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def assert_canonical(p: LambdaPoly):
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in num)
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+    if not num:
+        assert (num, den) == ((), 1)
+
+
+@given(rows, rows, wide_fractions)
+def test_kernel_matches_fraction_reference(a, b, q):
+    p, r = LambdaPoly(a), LambdaPoly(b)
+    a, b = ref_trim(a), ref_trim(b)
+    cases = [
+        (p, a), (r, b),
+        (p + r, ref_add(a, b)),
+        (p - r, ref_add(a, [-y for y in b])),
+        (-p, ref_trim(-x for x in a)),
+        (p * r, ref_mul(a, b)),
+        (p + q, ref_add(a, [q])),
+        (q - p, ref_add([q], [-x for x in a])),
+        (q * p, ref_trim(q * x for x in a)),
+        (p ** 3, ref_mul(ref_mul(a, a), a)),
+    ]
+    if q:
+        cases.append((p / q, ref_trim(x / q for x in a)))
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.degree == len(want) - 1
+        assert got.constant_term == (want[0] if want else 0)
+        assert got.evaluate(q) == sum(c * q**i for i, c in enumerate(want))
+
+
+@given(rows, rows)
+def test_divide_exact_matches_reference(a, b):
+    p, r = LambdaPoly(a), LambdaPoly(b)
+    if r:
+        quotient = (p * r).divide_exact(r)
+        assert_canonical(quotient)
+        assert quotient.coeffs == ref_trim(a)
+    else:
+        assert p.divide_exact(r) is None
+    if r.degree >= 1 and (p * r + 1).degree >= r.degree:
+        assert (p * r + 1).divide_exact(r) is None
+
+
+@given(st.one_of(wide_fractions, st.integers(min_value=-10**30, max_value=10**30)))
+def test_constants_hash_and_compare_as_rationals(q):
+    c = LambdaPoly.constant(q)
+    assert_canonical(c)
+    assert c == q and q == c
+    assert hash(c) == hash(q)
+    assert hash(c) == hash(LambdaPoly([q, 0, 0]))
+    assert {c: 1}.get(q) == 1
+
+
+def test_canonical_form_of_scaled_rows():
+    p = LambdaPoly([Fraction(2, 6), Fraction(4, 6)])  # (1 + 2 lambda) / 3
+    assert (p._num, p._den) == ((1, 2), 3)
+    assert ((p * 6)._num, (p * 6)._den) == ((2, 4), 1)
+    assert ((p / Fraction(-2, 3))._num, (p / Fraction(-2, 3))._den) == ((-1, -2), 2)
+    zero = p - p
+    assert (zero._num, zero._den) == ((), 1)
+    assert ((p * 0)._num, (p * 0)._den) == ((), 1)
+    assert (LambdaPoly()._num, LambdaPoly()._den) == ((), 1)
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        LAMBDA / 0
 
 
 def test_first_power_is_the_value_itself():
