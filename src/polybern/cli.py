@@ -17,7 +17,7 @@ from math import factorial
 
 from . import families, identities, parser as expr
 from .errors import PolybernError
-from .identities import IdentityReport, Witness
+from .identities import IdentityReport
 from .ring import format_scalar, lambda_eval
 
 DEFAULT_ORDER = families.DEFAULT_PRECISION
@@ -232,14 +232,7 @@ def _verify_equation(args) -> IdentityReport:
     order = args.order if args.order is not None else DEFAULT_ORDER
     lhs = expr.eval_expr(expr.parse(lhs_text), order)
     rhs = expr.eval_expr(expr.parse(rhs_text), order)
-    witness = None
-    for n in range(order):
-        a, b = lhs[n], rhs[n]
-        if args.lam is not None:
-            a, b = lambda_eval(a, args.lam), lambda_eval(b, args.lam)
-        if a != b:
-            witness = Witness(n, format_scalar(a), format_scalar(b))
-            break
+    witness = identities._first_failure(((n, lhs[n], rhs[n]) for n in range(order)), args.lam)
     params = {"order": order, "lambda": _lam_label(args.lam)}
     status = "pass" if witness is None else "fail"
     return IdentityReport(args.target, params, status, witness)
@@ -276,6 +269,10 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     handler = {"table": cmd_table, "poly": cmd_poly,
                "verify": cmd_verify, "eval": cmd_eval}[args.command]
+    # A legal table entry can exceed Python's 4300-digit limit on int/str
+    # conversion. Outside input cannot: the expression lexer caps literals.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return handler(args)
     except PolybernError as err:
@@ -283,6 +280,8 @@ def main(argv=None) -> int:
         where = f" at offset {span[0]}..{span[1]}" if span else ""
         print(f"polybern: error{where}: {err}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,13 @@ lambda is requested, in which case both sides are specialized first.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import families
 from .errors import PolybernError, PrecisionExceeded, UnknownIdentity
@@ -29,23 +32,6 @@ from .umbral import (
 )
 
 __all__ = ["CATALOG_IDS", "Witness", "IdentityReport", "verify"]
-
-CATALOG_IDS = (
-    "eq5",
-    "eq17",
-    "eq18",
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "remark",
-    "sheffer16",
-    "sheffer23",
-    "k0",
-    "lambda0",
-    "stirling1",
-    "kaneko",
-)
 
 DEFAULT_YS = (Fraction(1), Fraction(-2), Fraction(3, 5))
 
@@ -84,18 +70,25 @@ class IdentityReport:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _cmp_scalars(lhs, rhs, lam):
-    if lam is not None:
-        lhs = lambda_eval(lhs, lam)
-        rhs = lambda_eval(rhs, lam)
-    return lhs == rhs, format_scalar(lhs), format_scalar(rhs)
+def _first_failure(cases, lam) -> Witness | None:
+    """Witness for the first ``(n, lhs, rhs)`` whose sides differ, or None.
 
-
-def _cmp_polys(lhs: Polynomial, rhs: Polynomial, lam):
-    if lam is not None:
-        lhs = lhs.specialize(lam)
-        rhs = rhs.specialize(lam)
-    return lhs == rhs, str(lhs), str(rhs)
+    Both sides are specialized at a numeric ``lam`` first. ``cases`` is
+    consumed lazily, so a check stops at its first failure and builds, or
+    draws from its rng, nothing past it. Polynomials render with ``str``,
+    scalars with ``format_scalar``.
+    """
+    for n, lhs, rhs in cases:
+        poly = isinstance(lhs, Polynomial)
+        if lam is not None:
+            if poly:
+                lhs, rhs = lhs.specialize(lam), rhs.specialize(lam)
+            else:
+                lhs, rhs = lambda_eval(lhs, lam), lambda_eval(rhs, lam)
+        if lhs != rhs:
+            fmt = str if poly else format_scalar
+            return Witness(n, fmt(lhs), fmt(rhs))
+    return None
 
 
 def _random_rational(rng: random.Random) -> Fraction:
@@ -154,13 +147,7 @@ def _a_series(k: int, precision: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _expm1_over_t(precision: int) -> Series:
-    """(e^t - 1)/t."""
-    n = precision + 1
-    return (families._exp_t(n) - 1).div(Series.t(n))
-
-
-def _shift_operator(y: Fraction, precision: int) -> Series:
+def _expm1_over_t(precision: int, y=1) -> Series:
     """(e^(y t) - 1)/t."""
     n = precision + 1
     return ((Series.t(n) * y).exp() - 1).div(Series.t(n))
@@ -168,11 +155,13 @@ def _shift_operator(y: Fraction, precision: int) -> Series:
 
 def _poly_from_product_series(s: Series, n: int) -> Polynomial:
     # n! [t^n] (s * e^(x t)) with x an indeterminate: the coefficient of
-    # x^(n-j) is n!/(n-j)! * [t^j] s.
-    coeffs = [None] * (n + 1)
-    for j in range(n + 1):
-        coeffs[n - j] = Fraction(factorial(n), factorial(n - j)) * s[j]
-    return Polynomial(coeffs)
+    # x^i is n!/i! * [t^(n-i)] s.
+    return Polynomial([Fraction(factorial(n), factorial(i)) * s[n - i] for i in range(n + 1)])
+
+
+def _table_cases(tbl: families.SequenceTable, gf: Series, nmax: int):
+    """Each table entry n <= nmax against n! [t^n] gf."""
+    return ((n, tbl.value(n), factorial(n) * gf[n]) for n in range(nmax + 1))
 
 
 # -- checkers (table-injectable so mutation tests can perturb inputs) --------
@@ -181,43 +170,29 @@ def _poly_from_product_series(s: Series, n: int) -> Polynomial:
 def check_eq5(dpb1: families.SequenceTable, dh: families.SequenceTable,
               cz: families.SequenceTable, nmax: int, lam=None) -> Witness | None:
     """Daehee convolution at x = 0 against the k = 1 table."""
-    for n in range(nmax + 1):
-        rhs = Fraction(0)
-        for l in range(n + 1):
-            term = comb(n, l) * dh.value(n - l) * cz.value(l)
-            rhs = rhs + LambdaPoly.monomial(n - l) * term
-        ok, ls, rs = _cmp_scalars(dpb1.value(n), rhs, lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
+    def rhs(n):
+        return sum((LambdaPoly.monomial(n - l) * (comb(n, l) * dh.value(n - l) * cz.value(l))
+                    for l in range(n + 1)), Fraction(0))
+    return _first_failure(((n, dpb1.value(n), rhs(n)) for n in range(nmax + 1)), lam)
 
 
 def check_eq17(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
                lam=None) -> Witness | None:
     """Binomial polynomials from the table vs the product-series route."""
     s = _a_series(k, precision) * bernoulli_operator(precision)
-    for n in range(nmax + 1):
-        lhs = families.binomial_poly(tbl, n)
-        rhs = _poly_from_product_series(s, n)
-        ok, ls, rs = _cmp_polys(lhs, rhs, lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
+    return _first_failure(((n, families.binomial_poly(tbl, n), _poly_from_product_series(s, n))
+                           for n in range(nmax + 1)), lam)
 
 
 def check_eq18(tbl: families.SequenceTable, nmax: int, ys, lam=None) -> Witness | None:
     """Difference/integral identity: operator action vs explicit translate."""
-    for y in ys:
-        op = _shift_operator(Fraction(y), nmax + 2)
-        for n in range(nmax + 1):
-            p = families.binomial_poly(tbl, n)
-            q = families.binomial_poly(tbl, n + 1)
-            lhs = op_apply(op, p)
-            rhs = (q.shift(y) - q) / (n + 1)
-            ok, ls, rs = _cmp_polys(lhs, rhs, lam)
-            if not ok:
-                return Witness(n, ls, rs)
-    return None
+    def cases():
+        for y in ys:
+            op = _expm1_over_t(nmax + 2, Fraction(y))
+            for n in range(nmax + 1):
+                q = families.binomial_poly(tbl, n + 1)
+                yield n, op_apply(op, families.binomial_poly(tbl, n)), (q.shift(y) - q) / (n + 1)
+    return _first_failure(cases(), lam)
 
 
 def check_thm3(k: int, r: int, precision: int, rng: random.Random, n_random: int,
@@ -226,47 +201,35 @@ def check_thm3(k: int, r: int, precision: int, rng: random.Random, n_random: int
     gf_r = families.dpb_higher_gf(k, r, precision)
     bop_r = bernoulli_operator(precision, r)
     bvals = bernoulli_numbers_triangular(max_degree + 1)
-    for i in range(n_random):
-        p = _random_polynomial(rng, max_degree)
-        q = p
-        for _ in range(r):
-            q = _integrate_termwise(q, bvals)
-        ok, ls, rs = _cmp_polys(q, op_apply(bop_r, p), lam)
-        if not ok:
-            return Witness(i, ls, rs)
-        lhs = op_apply(a_r, q)
-        rhs = op_apply(gf_r, p)
-        ok, ls, rs = _cmp_polys(lhs, rhs, lam)
-        if not ok:
-            return Witness(i, ls, rs)
-    return None
+
+    def cases():
+        for i in range(n_random):
+            p = _random_polynomial(rng, max_degree)
+            q = p
+            for _ in range(r):
+                q = _integrate_termwise(q, bvals)
+            yield i, q, op_apply(bop_r, p)
+            yield i, op_apply(a_r, q), op_apply(gf_r, p)
+    return _first_failure(cases(), lam)
 
 
 def check_thm4(tbl: families.SequenceTable, k: int, r: int, nmax: int,
                precision: int, rng: random.Random, n_random: int,
                max_degree: int, lam=None) -> Witness | None:
     a_r = _a_series(k, precision) ** r
-    s = a_r * bernoulli_operator(precision, r)
-    for n in range(nmax + 1):
-        lhs = pair(s, Polynomial.monomial(n))
-        ok, ls, rs = _cmp_scalars(lhs, tbl.value(n), lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    gf_r = families.dpb_higher_gf(k, r, precision)
-    expm1_r = _expm1_over_t(precision) ** r
-    for i in range(n_random):
-        p = _random_polynomial(rng, max_degree)
-        lhs = pair(gf_r, p)
-        rhs = invariant_integral(op_apply(a_r, p), r)
-        ok, ls, rs = _cmp_scalars(lhs, rhs, lam)
-        if not ok:
-            return Witness(i, ls, rs)
-        # h(t) = 1 particular case of the r-fold functional.
-        at_zero = invariant_integral(op_apply(expm1_r, p), r)
-        ok, ls, rs = _cmp_scalars(at_zero, p(0), lam)
-        if not ok:
-            return Witness(i, ls, rs)
-    return None
+
+    def cases():
+        s = a_r * bernoulli_operator(precision, r)
+        for n in range(nmax + 1):
+            yield n, pair(s, Polynomial.monomial(n)), tbl.value(n)
+        gf_r = families.dpb_higher_gf(k, r, precision)
+        expm1_r = _expm1_over_t(precision) ** r
+        for i in range(n_random):
+            p = _random_polynomial(rng, max_degree)
+            yield i, pair(gf_r, p), invariant_integral(op_apply(a_r, p), r)
+            # h(t) = 1 particular case of the r-fold functional.
+            yield i, invariant_integral(op_apply(expm1_r, p), r), p(0)
+    return _first_failure(cases(), lam)
 
 
 def check_remark(higher: families.SequenceTable, base: families.SequenceTable,
@@ -282,20 +245,12 @@ def check_remark(higher: families.SequenceTable, base: families.SequenceTable,
     for _ in range(r - 1):
         rhs = [sum(comb(n, i) * rhs[i] * b[n - i] for i in range(n + 1))
                for n in range(nmax + 1)]
-    for n in range(nmax + 1):
-        ok, ls, rs = _cmp_scalars(higher.value(n), rhs[n], lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
+    return _first_failure(((n, higher.value(n), rhs[n]) for n in range(nmax + 1)), lam)
 
 
 def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witness | None:
     """Orthogonality and regeneration for the degenerate family of order r."""
-    n = precision + 1
-    z = 1 - families.elam(-1, n)
-    num = families.elam(1, n) - 1
-    den = families.polylog_series(k, n).compose(z)
-    g = num.div(den) ** r
+    g = Series.one(precision).div(_dpb_series(k, precision)) ** r
     f = Series.t(precision)
     s = [families.dpb_higher_poly(k, r, m, precision) for m in range(nmax + 1)]
     if lam is not None:
@@ -315,12 +270,8 @@ def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witnes
 
 def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
     """Weight-0 collapse: the polynomials reduce to plain monomials."""
-    for n in range(nmax + 1):
-        lhs = families.dpb_poly(0, n, precision)
-        ok, ls, rs = _cmp_polys(lhs, Polynomial.monomial(n), lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
+    return _first_failure(((n, families.dpb_poly(0, n, precision), Polynomial.monomial(n))
+                           for n in range(nmax + 1)), lam)
 
 
 def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
@@ -330,21 +281,7 @@ def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None
         raise PrecisionExceeded(f"n = {nmax} exceeds precision {precision}")
     degen = _dpb_series(k, precision).specialize(0)
     plain = families.poly_bernoulli_gf(k, precision)
-    for n in range(nmax + 1):
-        ok, ls, rs = _cmp_scalars(degen[n], plain[n], None)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
-
-
-def _cmp_table(tbl: families.SequenceTable, gf: Series, nmax: int,
-               lam) -> Witness | None:
-    """First n <= nmax at which the table entry is not n! [t^n] gf."""
-    for n in range(nmax + 1):
-        ok, ls, rs = _cmp_scalars(tbl.value(n), factorial(n) * gf[n], lam)
-        if not ok:
-            return Witness(n, ls, rs)
-    return None
+    return _first_failure(((n, degen[n], plain[n]) for n in range(nmax + 1)), None)
 
 
 def check_stirling1(higher: families.SequenceTable, cz: families.SequenceTable,
@@ -355,8 +292,8 @@ def check_stirling1(higher: families.SequenceTable, cz: families.SequenceTable,
     t/(elam(1) - 1) by series division."""
     n = precision + 1
     carlitz = Series.t(n).div(families.elam(1, n) - 1)
-    return (_cmp_table(higher, _dpb_series(k, precision) ** r, nmax, lam)
-            or _cmp_table(cz, carlitz, nmax, lam))
+    return (_first_failure(_table_cases(higher, _dpb_series(k, precision) ** r, nmax), lam)
+            or _first_failure(_table_cases(cz, carlitz, nmax), lam))
 
 
 def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
@@ -366,10 +303,62 @@ def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
     n = precision + 1
     z = 1 - (-Series.t(n)).exp()
     gf = families.polylog_series(k, n).compose(z).div(families._exp_t(n) - 1)
-    return _cmp_table(tbl, gf, nmax, lam)
+    return _first_failure(_table_cases(tbl, gf, nmax), lam)
 
 
 # -- dispatcher ---------------------------------------------------------------
+
+
+class _Entry(NamedTuple):
+    """One catalog id: ``params`` names the arguments its report lists after
+    ``lambda``, in order; the default precision is ``slack`` plus the largest
+    index range among them (nmax, max_degree); ``run`` calls the checker on
+    the resolved arguments; ``fixed`` sets arguments whatever was passed."""
+
+    slack: int
+    params: tuple[str, ...]
+    run: Callable[[SimpleNamespace], Witness | None]
+    fixed: tuple = ()
+
+
+_RANDOM = ("n_random", "max_degree", "seed")
+
+_CATALOG = {
+    "eq5": _Entry(1, ("k", "nmax"), lambda a: check_eq5(
+        families.dpb_numbers(a.k, a.p), families.daehee(a.p), families.carlitz_beta(a.p),
+        a.nmax, a.lam), fixed=(("k", 1),)),
+    "eq17": _Entry(2, ("k", "nmax"), lambda a: check_eq17(
+        families.dpb_numbers(a.k, a.p), a.k, a.nmax, a.p, a.lam)),
+    "eq18": _Entry(2, ("k", "nmax", "seed", "ys"), lambda a: check_eq18(
+        families.dpb_numbers(a.k, a.p), a.nmax, a.ys, a.lam)),
+    # thm1 and thm2 are Theorems 4 and 3 at r = 1.
+    "thm1": _Entry(2, ("k", "nmax") + _RANDOM, lambda a: check_thm4(
+        families.dpb_numbers(a.k, a.p), a.k, 1, a.nmax, a.p, a.rng, a.n_random,
+        a.max_degree, a.lam)),
+    "thm2": _Entry(2, ("k",) + _RANDOM, lambda a: check_thm3(
+        a.k, 1, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
+    "thm3": _Entry(2, ("k", "r") + _RANDOM, lambda a: check_thm3(
+        a.k, a.r, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
+    "thm4": _Entry(2, ("k", "r", "nmax") + _RANDOM, lambda a: check_thm4(
+        families.dpb_higher_numbers(a.k, a.r, a.p), a.k, a.r, a.nmax, a.p, a.rng,
+        a.n_random, a.max_degree, a.lam)),
+    "remark": _Entry(1, ("k", "r", "nmax"), lambda a: check_remark(
+        families.dpb_higher_numbers(a.k, a.r, a.p), families.dpb_numbers(a.k, a.p), a.r,
+        a.nmax, a.lam)),
+    "sheffer16": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
+        a.k, a.r, a.nmax, a.p, a.lam), fixed=(("r", 1),)),
+    "sheffer23": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
+        a.k, a.r, a.nmax, a.p, a.lam)),
+    "k0": _Entry(1, ("nmax",), lambda a: check_k0(a.nmax, a.p, a.lam)),
+    "lambda0": _Entry(1, ("k", "nmax"), lambda a: check_lambda0(a.k, a.nmax, a.p, a.lam)),
+    "stirling1": _Entry(1, ("k", "r", "nmax"), lambda a: check_stirling1(
+        families.dpb_higher_numbers(a.k, a.r, a.p), families.carlitz_beta(a.p), a.k, a.r,
+        a.nmax, a.p, a.lam)),
+    "kaneko": _Entry(1, ("k", "nmax"), lambda a: check_kaneko(
+        families.poly_bernoulli(a.k, a.p), a.k, a.nmax, a.p, a.lam)),
+}
+
+CATALOG_IDS = tuple(_CATALOG)
 
 
 def verify(ident: str, *, k: int | None = None, r: int | None = None,
@@ -377,7 +366,8 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
            lam=None, seed: int = 0, n_random: int | None = None,
            max_degree: int | None = None) -> IdentityReport:
     """Run one catalog entry and return its exact pass/fail report."""
-    if ident not in CATALOG_IDS:
+    entry = _CATALOG.get(ident)
+    if entry is None:
         raise UnknownIdentity(f"unknown identity '{ident}'")
     nmax = 8 if nmax is None else nmax
     if nmax < 0:
@@ -390,89 +380,22 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
         families.check_k(k)
     r = 1 if r is None else r
     families.check_r(r)
-    n_random = 3 if n_random is None else n_random
-    max_degree = 8 if max_degree is None else max_degree
-    rng = random.Random(seed)
-    ys_used = None
+    lam = None if lam is None else Fraction(lam)
 
-    params: dict = {"lambda": "symbolic" if lam is None else format_scalar(Fraction(lam))}
-    if lam is not None:
-        lam = Fraction(lam)
-
-    if ident == "eq5":
-        p = order or (nmax + 1)
-        witness = check_eq5(families.dpb_numbers(1, p), families.daehee(p),
-                            families.carlitz_beta(p), nmax, lam)
-        params.update(k=1, nmax=nmax)
-    elif ident == "eq17":
-        k = 2 if k is None else k
-        p = order or (nmax + 2)
-        witness = check_eq17(families.dpb_numbers(k, p), k, nmax, p, lam)
-        params.update(k=k, nmax=nmax)
-    elif ident == "eq18":
-        k = 2 if k is None else k
-        p = order or (nmax + 2)
-        ys_used = tuple(ys) if ys is not None else DEFAULT_YS + (_random_rational(rng),)
-        witness = check_eq18(families.dpb_numbers(k, p), nmax, ys_used, lam)
-        params.update(k=k, nmax=nmax, seed=seed)
-    elif ident == "thm1":  # Theorem 4 at r = 1
-        k = 2 if k is None else k
-        p = order or (max(nmax, max_degree) + 2)
-        witness = check_thm4(families.dpb_numbers(k, p), k, 1, nmax, p, rng,
-                             n_random, max_degree, lam)
-        params.update(k=k, nmax=nmax, n_random=n_random, max_degree=max_degree, seed=seed)
-    elif ident == "thm2":  # Theorem 3 at r = 1
-        k = 2 if k is None else k
-        p = order or (max_degree + 2)
-        witness = check_thm3(k, 1, p, rng, n_random, max_degree, lam)
-        params.update(k=k, n_random=n_random, max_degree=max_degree, seed=seed)
-    elif ident == "thm3":
-        k = 2 if k is None else k
-        p = order or (max_degree + 2)
-        witness = check_thm3(k, r, p, rng, n_random, max_degree, lam)
-        params.update(k=k, r=r, n_random=n_random, max_degree=max_degree, seed=seed)
-    elif ident == "thm4":
-        k = 2 if k is None else k
-        p = order or (max(nmax, max_degree) + 2)
-        witness = check_thm4(families.dpb_higher_numbers(k, r, p), k, r, nmax,
-                             p, rng, n_random, max_degree, lam)
-        params.update(k=k, r=r, nmax=nmax, n_random=n_random,
-                      max_degree=max_degree, seed=seed)
-    elif ident == "remark":
-        k = 2 if k is None else k
-        p = order or (nmax + 1)
-        witness = check_remark(families.dpb_higher_numbers(k, r, p),
-                               families.dpb_numbers(k, p), r, nmax, lam)
-        params.update(k=k, r=r, nmax=nmax)
-    elif ident in ("sheffer16", "sheffer23"):
-        k = 2 if k is None else k
-        if ident == "sheffer16":
-            r = 1
-        p = order or (nmax + 2)
-        witness = check_sheffer(k, r, nmax, p, lam)
-        params.update(k=k, r=r, nmax=nmax)
-    elif ident == "k0":
-        p = order or (nmax + 1)
-        witness = check_k0(nmax, p, lam)
-        params.update(nmax=nmax)
-    elif ident == "lambda0":
-        k = 2 if k is None else k
-        p = order or (nmax + 1)
-        witness = check_lambda0(k, nmax, p, lam)
-        params.update(k=k, nmax=nmax)
-    elif ident == "stirling1":
-        k = 2 if k is None else k
-        p = order or (nmax + 1)
-        witness = check_stirling1(families.dpb_higher_numbers(k, r, p),
-                                  families.carlitz_beta(p), k, r, nmax, p, lam)
-        params.update(k=k, r=r, nmax=nmax)
-    else:  # kaneko
-        k = 2 if k is None else k
-        p = order or (nmax + 1)
-        witness = check_kaneko(families.poly_bernoulli(k, p), k, nmax, p, lam)
-        params.update(k=k, nmax=nmax)
-
-    if ys_used is not None:
-        params["ys"] = [format_scalar(Fraction(y)) for y in ys_used]
+    a = SimpleNamespace(k=2 if k is None else k, r=r, nmax=nmax, rng=random.Random(seed),
+                        n_random=3 if n_random is None else n_random,
+                        max_degree=8 if max_degree is None else max_degree,
+                        seed=seed, lam=lam, ys=None)
+    vars(a).update(entry.fixed)
+    a.p = order or entry.slack + max(getattr(a, name) for name in ("nmax", "max_degree")
+                                     if name in entry.params)
+    if "ys" in entry.params:
+        # drawn before any test polynomial
+        a.ys = tuple(ys) if ys is not None else DEFAULT_YS + (_random_rational(a.rng),)
+    witness = entry.run(a)
+    params = {"lambda": "symbolic" if lam is None else format_scalar(lam)}
+    params.update((name, getattr(a, name)) for name in entry.params)
+    if a.ys is not None:
+        params["ys"] = [format_scalar(Fraction(y)) for y in a.ys]
     status = "pass" if witness is None else "fail"
     return IdentityReport(ident, params, status, witness)

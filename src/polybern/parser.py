@@ -133,6 +133,10 @@ class Call(_Node):
 _OPERATORS = "+-*/^(),"
 _NAMES = ("log", "exp", "li", "elam", "lambda", "t")
 
+# Far below Python's 4300-digit limit on int/str conversion, which the CLI
+# lifts while it runs: converting a longer digit string costs quadratic time.
+MAX_LITERAL_LENGTH = 1000
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -162,6 +166,9 @@ def _lex(text: str) -> list[_Token]:
                 while i < n and text[i].isdecimal():
                     i += 1
             raw = text[start:i]
+            if len(raw) > MAX_LITERAL_LENGTH:
+                raise ExprSyntaxError(
+                    f"literal longer than {MAX_LITERAL_LENGTH} characters", start)
             if kind == "RAT" and not int(raw.split("/")[1]):
                 raise ExprSyntaxError(f"zero denominator in '{raw}'", start)
             tokens.append(_Token(kind, raw, start, Fraction(raw)))
@@ -190,12 +197,20 @@ def _lex(text: str) -> list[_Token]:
 
 # -- parser -------------------------------------------------------------------
 
+# The parser recurses six frames per nested group, and _eval, render and
+# _count_divs up to two per AST level, with at most three levels per group
+# and one per operator: all well inside Python's default recursion limit.
+MAX_NESTING = 50  # parenthesised groups and call arguments, one inside another
+MAX_OPERATORS = 200  # binary + - * /
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _lex(text)
         self.i = 0
+        self.depth = -1  # of the expr() being parsed; the whole text is depth 0
+        self.operators = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -213,6 +228,12 @@ class _Parser:
                 tok.pos, expected)
         return self.advance()
 
+    def operator(self) -> _Token:
+        if self.operators == MAX_OPERATORS:
+            raise ExprSyntaxError(f"more than {MAX_OPERATORS} operators", self.peek().pos)
+        self.operators += 1
+        return self.advance()
+
     def parse(self) -> _Node:
         node = self.expr()
         tok = self.peek()
@@ -221,18 +242,22 @@ class _Parser:
         return node
 
     def expr(self) -> _Node:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"more than {MAX_NESTING} nested groups", self.peek().pos)
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
+            op = self.operator()
             rhs = self.term()
             span = (node.span[0], rhs.span[1])
             node = (Add if op.kind == "+" else Sub)(node, rhs, span=span)
+        self.depth -= 1
         return node
 
     def term(self) -> _Node:
         node = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.advance()
+            op = self.operator()
             rhs = self.factor()
             span = (node.span[0], rhs.span[1])
             node = (Mul if op.kind == "*" else Div)(node, rhs, span=span)

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from polybern import families
+from polybern import cli, families
 from polybern.cli import OutputRecord
 from polybern.identities import IdentityReport
 
@@ -161,6 +161,27 @@ def test_bad_usage_exits_two():
     assert run_cli("eval", "exp(t)", "--order", "100000000").returncode == 2
     assert run_cli("verify", "t==t", "--order", "100000000").returncode == 2
     assert run_cli("table", "daehee", "--n", "129", "--order", "129").returncode == 2
+    assert run_cli("eval", "9" * 5000, "--order", "2").returncode == 2
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 5000,
+    "(" * 3000 + "t" + ")" * 3000,
+    "log(1+" * 3000 + "t" + ")" * 3000,
+    "+".join(["t"] * 3000),
+], ids=["literal", "parens", "calls", "terms"])
+def test_oversized_expression_exits_two_without_traceback(text):
+    proc = run_cli("eval", text, "--order", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("polybern: error") and "Traceback" not in proc.stderr
+
+
+def test_entries_past_the_int_str_digit_limit_render(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["table", "poly-bernoulli", "--k", "100", "--n", "128",
+                     "--order", "128"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert max(len(line) for line in capsys.readouterr().out.splitlines()) > 4300
 
 
 # -- poly -------------------------------------------------------------------------

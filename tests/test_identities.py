@@ -3,11 +3,12 @@
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import bernoulli_oracle
-from polybern import families
+from polybern import families, identities
 from polybern.errors import PolybernError, UnknownIdentity
 from polybern.identities import (
     CATALOG_IDS,
@@ -44,6 +45,57 @@ def test_catalog_ids_complete():
         "eq5", "eq17", "eq18", "thm1", "thm2", "thm3", "thm4",
         "remark", "sheffer16", "sheffer23", "k0", "lambda0", "stirling1", "kaneko",
     }
+
+
+PARAMS = {
+    "eq5": {"lambda": "symbolic", "k": 1, "nmax": 4},
+    "eq17": {"lambda": "symbolic", "k": 5, "nmax": 4},
+    "eq18": {"lambda": "symbolic", "k": 5, "nmax": 4, "seed": 0,
+             "ys": ["1", "-2", "3/5", "3/7"]},
+    "thm1": {"lambda": "symbolic", "k": 5, "nmax": 4, "n_random": 1, "max_degree": 3,
+             "seed": 0},
+    "thm2": {"lambda": "symbolic", "k": 5, "n_random": 1, "max_degree": 3, "seed": 0},
+    "thm3": {"lambda": "symbolic", "k": 5, "r": 3, "n_random": 1, "max_degree": 3, "seed": 0},
+    "thm4": {"lambda": "symbolic", "k": 5, "r": 3, "nmax": 4, "n_random": 1, "max_degree": 3,
+             "seed": 0},
+    "remark": {"lambda": "symbolic", "k": 5, "r": 3, "nmax": 4},
+    "sheffer16": {"lambda": "symbolic", "k": 5, "r": 1, "nmax": 4},
+    "sheffer23": {"lambda": "symbolic", "k": 5, "r": 3, "nmax": 4},
+    "k0": {"lambda": "symbolic", "nmax": 4},
+    "lambda0": {"lambda": "symbolic", "k": 5, "nmax": 4},
+    "stirling1": {"lambda": "symbolic", "k": 5, "r": 3, "nmax": 4},
+    "kaneko": {"lambda": "symbolic", "k": 5, "nmax": 4},
+}
+
+
+@pytest.mark.parametrize("ident", CATALOG_IDS)
+def test_params_keys_and_values_in_order(ident):
+    # the CLI prints params unsorted, so their order is part of its output
+    report = verify(ident, k=5, r=3, nmax=4, n_random=1, max_degree=3)
+    assert list(report.params.items()) == list(PARAMS[ident].items())
+
+
+def _readme_catalog_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Identity catalog", 1)[1].split("\n## ", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")[:3]]
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_catalog_matches_records():
+    rows = _readme_catalog_rows()
+    assert [row[0].strip("`") for row in rows] == list(CATALOG_IDS)
+    for (ident, order, reads), entry in zip(rows, identities._CATALOG.values()):
+        fixed = dict(entry.fixed)
+        assert reads == ", ".join(f"`--{name}`" for name in ("k", "r", "seed")
+                                  if name in entry.params and name not in fixed), ident
+        if "max_degree" not in entry.params:
+            rule = f"`--n` + {entry.slack}"
+        elif "nmax" in entry.params:
+            rule = f"max(`--n`, 8) + {entry.slack}"
+        else:
+            rule = str(8 + entry.slack)
+        assert order == rule, ident
 
 
 def test_unknown_identity():

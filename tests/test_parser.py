@@ -20,6 +20,8 @@ from polybern.parser import (
     Div,
     ExprSyntaxError,
     LambdaSym,
+    MAX_NESTING,
+    MAX_OPERATORS,
     Mul,
     Neg,
     PowInt,
@@ -116,6 +118,24 @@ def test_syntax_error_offset_and_expected():
         parse("²")  # a digit, but not a decimal one
     assert exc.value.offset == 0
     assert "unexpected character" in str(exc.value)
+
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("t + " + "9" * 5000)  # past Python's int/str digit limit
+    assert exc.value.offset == 4
+
+
+def test_nesting_and_operator_count_are_bounded():
+    n, m = MAX_NESTING, MAX_OPERATORS
+    assert eval_expr(parse("(" * n + "t" + ")" * n), 2) == Series.t(2)
+    assert eval_expr(parse("log(1+" * n + "t" + ")" * n), 2) == Series.t(2)
+    assert eval_expr(parse("+".join(["t"] * (m + 1))), 2) == Series.t(2) * (m + 1)
+    # the recursion each would need is refused before it starts
+    for text, offset in (("(" * (n + 1) + "t" + ")" * (n + 1), n + 1),
+                         ("log(1+" * (n + 1) + "t" + ")" * (n + 1), 6 * n + 4),
+                         ("+".join(["t"] * (m + 2)), 2 * m + 1)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
 
 
 def test_non_integer_exponent_rejected():
