@@ -19,33 +19,30 @@ from .families import (
     DEFAULT_PRECISION,
     FAMILY_IDS,
     SequenceTable,
-    bernoulli,
-    carlitz_beta,
-    carlitz_beta_poly,
-    daehee,
     dpb_gf,
     dpb_higher_gf,
-    dpb_higher_numbers,
-    dpb_higher_poly,
-    dpb_numbers,
-    dpb_poly,
     elam,
-    poly_bernoulli,
     polylog_series,
+    polynomial,
+    table,
 )
 from .identities import CATALOG_IDS, IdentityReport, Witness, verify
 from .parser import eval_expr, parse, render
 from .polynomials import Polynomial
-from .ring import LAMBDA, LambdaPoly, Rational, lambda_eval, lambda_is_constant
+from .ring import LAMBDA, LambdaPoly, Rational, lambda_eval
 from .series import Series
-from .umbral import (
-    Functional,
-    difference_property,
-    invariant_integral,
-    op_apply,
-    pair,
-    sheffer_verify,
-    shift,
-)
+from .umbral import invariant_integral, op_apply, pair
+
+__all__ = [
+    "ConstantTermNotOne", "NonUnitLeadingCoefficient", "NonzeroConstantTerm",
+    "NonzeroInnerConstant", "NotDelta", "NotInvertible", "PolybernError",
+    "PrecisionExceeded", "UnknownIdentity",
+    "DEFAULT_PRECISION", "FAMILY_IDS", "SequenceTable", "table", "polynomial",
+    "dpb_gf", "dpb_higher_gf", "elam", "polylog_series",
+    "CATALOG_IDS", "IdentityReport", "Witness", "verify",
+    "eval_expr", "parse", "render",
+    "Polynomial", "LAMBDA", "LambdaPoly", "Rational", "lambda_eval", "Series",
+    "invariant_integral", "op_apply", "pair",
+]
 
 __version__ = "0.1.0"

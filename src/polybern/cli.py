@@ -55,11 +55,6 @@ class OutputRecord:
             "rows": [list(row) for row in self.rows],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> OutputRecord:
-        return cls(d["family"], d["expr"], d["k"], d["r"], d["lambda"],
-                   tuple(tuple(row) for row in d["rows"]))
-
 
 def _columns(header: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in header]
@@ -192,7 +187,7 @@ def cmd_table(args) -> int:
     if args.n > order:
         raise PolybernError(f"--n {args.n} exceeds the working precision {order}")
     tbl = families.table(args.family, args.n, k=args.k, r=args.r)
-    rows = tuple((n, _specialized_str(v, args.lam)) for n, v in tbl.rows())
+    rows = tuple((n, _specialized_str(v, args.lam)) for n, v in enumerate(tbl.values))
     record = OutputRecord(args.family, None, tbl.k, tbl.r, _lam_label(args.lam), rows)
     sys.stdout.write(render_record(record, args.fmt))
     return 0

@@ -14,14 +14,21 @@ composed with L, whose table is a finite sum over the Stirling numbers of
 the first kind. No series over Q[lambda] is composed, multiplied or
 divided. The series routes these sums replace are kept in ``identities``
 as independent oracles.
+
+``table`` and ``polynomial`` are the checked routes to every family: one
+``_FAMILIES`` record per family id, and every bound enforced. The
+``*_gf`` builders are raw building blocks: they check k and r, not the
+precision.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
@@ -39,19 +46,10 @@ __all__ = [
     "elam",
     "polylog_series",
     "bernoulli_gf",
-    "bernoulli",
-    "daehee",
     "carlitz_gf",
-    "carlitz_beta",
-    "carlitz_beta_poly",
     "poly_bernoulli_gf",
-    "poly_bernoulli",
     "dpb_gf",
-    "dpb_numbers",
-    "dpb_poly",
     "dpb_higher_gf",
-    "dpb_higher_numbers",
-    "dpb_higher_poly",
     "binomial_poly",
     "check_k",
     "check_r",
@@ -86,9 +84,6 @@ MAX_PRECISION = 128
 # than the tables.
 MAX_CHECK_PRECISION = 32
 
-FAMILY_IDS = ("bernoulli", "daehee", "carlitz", "poly-bernoulli", "dpb", "dpb-higher")
-
-
 @dataclass(frozen=True)
 class SequenceTable:
     """Exact values of one family: entry n is n! * [t^n] of its gf."""
@@ -97,10 +92,6 @@ class SequenceTable:
     k: int | None
     r: int
     values: tuple
-
-    @classmethod
-    def from_series(cls, family: str, gf: Series, k: int | None = None, r: int = 1):
-        return cls(family, k, r, tuple(_values(gf)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -111,9 +102,6 @@ class SequenceTable:
                 f"table '{self.family}' holds n < {len(self.values)}, got n = {n}"
             )
         return self.values[n]
-
-    def rows(self):
-        return list(enumerate(self.values))
 
 
 def _values(gf: Series) -> list:
@@ -166,148 +154,6 @@ def _stirling1_rows(count: int):
         row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
 
 
-@lru_cache(maxsize=None)
-def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
-    """(1 + lambda*t)^(c/lambda) as a series over Q[lambda].
-
-    Coefficient of t^n is c(c - lambda)...(c - (n-1)lambda)/n!.
-    """
-    c = Fraction(c)
-    coeffs: list = [LambdaPoly.constant(1)]
-    prod = LambdaPoly.constant(1)
-    for n in range(1, precision):
-        prod = prod * LambdaPoly((c, -(n - 1)))
-        coeffs.append(prod / factorial(n))
-    return Series(coeffs)
-
-
-@lru_cache(maxsize=None)
-def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Sum over n >= 1 of x^n / n^k; for k <= 0 the weights are integers."""
-    coeffs = [Fraction(0)]
-    for n in range(1, precision):
-        coeffs.append(Fraction(1, n**k) if k >= 0 else Fraction(n ** (-k)))
-    return Series(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _exp_t(precision: int) -> Series:
-    return Series.t(precision).exp()
-
-
-@lru_cache(maxsize=None)
-def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
-    n = precision + 1
-    return Series.t(n).div(_exp_t(n) - 1)
-
-
-def bernoulli(precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("bernoulli", bernoulli_gf(precision))
-
-
-@lru_cache(maxsize=None)
-def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """log(1 + t)/t."""
-    n = precision + 1
-    return (Series.one(n) + Series.t(n)).log().div(Series.t(n))
-
-
-def daehee(precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("daehee", daehee_gf(precision))
-
-
-@lru_cache(maxsize=None)
-def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/((1 + lambda*t)^(1/lambda) - 1).
-
-    This is (t/L) * B(L), with B = bernoulli_gf = sum_m B_m x^m/m!. Its
-    m = 0 term is t/L = G(lambda*t), where G = t/log(1 + t) = 1/daehee_gf
-    is a series over Q with table g. For m >= 1, (t/L) L^m/m! is
-    t L^(m-1)/m!, whose table entry n is (n/m) s(n-1, m-1) lambda^(n-m).
-    So entry n is g_n lambda^n + sum_(m=1..n) (n/m) s(n-1, m-1) B_m lambda^(n-m).
-    """
-    bern = bernoulli(precision).values
-    g = _values(Series.one(precision).div(daehee_gf(precision)))
-    out = [g[0]]
-    for n, row in enumerate(_stirling1_rows(precision - 1), start=1):
-        out.append(LambdaPoly([n * row[m - 1] * bern[m] / m for m in range(n, 0, -1)]
-                              + [g[n]]))
-    return _series(out)
-
-
-def carlitz_beta(precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("carlitz", carlitz_gf(precision))
-
-
-def binomial_poly(tbl: SequenceTable, n: int) -> Polynomial:
-    # sum over l of C(n, l) * value(l) * x^(n-l)
-    out = [None] * (n + 1)
-    for l in range(n + 1):
-        out[n - l] = comb(n, l) * tbl.value(l)
-    return Polynomial(out)
-
-
-def carlitz_beta_poly(n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    """Degenerate Bernoulli polynomial in x, via the finite expansion in the
-    degenerate falling-factorial basis x(x - lambda)...(x - (m-1)lambda)."""
-    if n >= precision:
-        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-    tbl = carlitz_beta(precision)
-    basis = Polynomial.constant(1)
-    acc = Polynomial.constant(comb(n, n) * tbl.value(n))
-    for m in range(1, n + 1):
-        basis = basis * Polynomial((LambdaPoly((0, -(m - 1))), 1))
-        acc = acc + basis * (comb(n, n - m) * tbl.value(n - m))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
-    return _series(_kaneko(k, precision))
-
-
-def poly_bernoulli(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("poly-bernoulli", poly_bernoulli_gf(k, precision), k=k)
-
-
-@lru_cache(maxsize=None)
-def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
-    return dpb_higher_gf(k, 1, precision)
-
-
-def dpb_numbers(k: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("dpb", dpb_gf(k, precision), k=k)
-
-
-def dpb_poly(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    return polynomial("dpb", n, precision, k=k)
-
-
-@lru_cache(maxsize=None)
-def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
-    L = log(1 + lambda*t)/lambda, so its r-th power is f(L) for f =
-    poly_bernoulli_gf(k)^r, a power over Q. With c the table of f, entry n
-    of f(L) is the lambda polynomial whose lambda^(n-m) coefficient is
-    s(n, m) c_m."""
-    if r < 1:
-        raise PolybernError(f"order r must be >= 1, got {r}")
-    c = _values(poly_bernoulli_gf(k, precision) ** r)
-    return _series(LambdaPoly([row[m] * c[m] for m in range(n, -1, -1)])
-                   for n, row in enumerate(_stirling1_rows(precision)))
-
-
-def dpb_higher_numbers(k: int, r: int, precision: int = DEFAULT_PRECISION) -> SequenceTable:
-    return SequenceTable.from_series("dpb-higher", dpb_higher_gf(k, r, precision), k=k, r=r)
-
-
-def dpb_higher_poly(k: int, r: int, n: int, precision: int = DEFAULT_PRECISION) -> Polynomial:
-    return polynomial("dpb-higher", n, precision, k=k, r=r)
-
-
 def check_k(k: int):
     """Reject a polylog order outside -MAX_ABS_K..MAX_ABS_K."""
     if abs(k) > MAX_ABS_K:
@@ -326,12 +172,151 @@ def check_precision(n: int, name: str = "precision", limit: int = MAX_PRECISION)
         raise PolybernError(f"{name} must satisfy {name} <= {limit}, got {n}")
 
 
-def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECISION):
-    if family not in FAMILY_IDS:
+@lru_cache(maxsize=None)
+def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
+    """(1 + lambda*t)^(c/lambda) as a series over Q[lambda].
+
+    Coefficient of t^n is c(c - lambda)...(c - (n-1)lambda)/n!.
+    """
+    c = Fraction(c)
+    coeffs: list = [LambdaPoly.constant(1)]
+    prod = LambdaPoly.constant(1)
+    for n in range(1, precision):
+        prod = prod * LambdaPoly((c, -(n - 1)))
+        coeffs.append(prod / factorial(n))
+    return Series(coeffs)
+
+
+@lru_cache(maxsize=None)
+def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
+    """Sum over n >= 1 of x^n / n^k; for k <= 0 the weights are integers."""
+    check_k(k)
+    coeffs = [Fraction(0)]
+    for n in range(1, precision):
+        coeffs.append(Fraction(1, n**k) if k >= 0 else Fraction(n ** (-k)))
+    return Series(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _exp_t(precision: int) -> Series:
+    return Series.t(precision).exp()
+
+
+@lru_cache(maxsize=None)
+def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
+    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
+    n = precision + 1
+    return Series.t(n).div(_exp_t(n) - 1)
+
+
+@lru_cache(maxsize=None)
+def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
+    """log(1 + t)/t."""
+    n = precision + 1
+    return (Series.one(n) + Series.t(n)).log().div(Series.t(n))
+
+
+@lru_cache(maxsize=None)
+def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
+    """t/((1 + lambda*t)^(1/lambda) - 1).
+
+    This is (t/L) * B(L), with B = bernoulli_gf = sum_m B_m x^m/m!. Its
+    m = 0 term is t/L = G(lambda*t), where G = t/log(1 + t) = 1/daehee_gf
+    is a series over Q with table g. For m >= 1, (t/L) L^m/m! is
+    t L^(m-1)/m!, whose table entry n is (n/m) s(n-1, m-1) lambda^(n-m).
+    So entry n is g_n lambda^n + sum_(m=1..n) (n/m) s(n-1, m-1) B_m lambda^(n-m).
+    """
+    bern = _values(bernoulli_gf(precision))
+    g = _values(Series.one(precision).div(daehee_gf(precision)))
+    out = [g[0]]
+    for n, row in enumerate(_stirling1_rows(precision - 1), start=1):
+        out.append(LambdaPoly([n * row[m - 1] * bern[m] / m for m in range(n, 0, -1)]
+                              + [g[n]]))
+    return _series(out)
+
+
+@lru_cache(maxsize=None)
+def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
+    """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
+    check_k(k)
+    return _series(_kaneko(k, precision))
+
+
+@lru_cache(maxsize=None)
+def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
+    """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
+    return dpb_higher_gf(k, 1, precision)
+
+
+@lru_cache(maxsize=None)
+def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
+    """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
+    L = log(1 + lambda*t)/lambda, so its r-th power is f(L) for f =
+    poly_bernoulli_gf(k)^r, a power over Q. With c the table of f, entry n
+    of f(L) is the lambda polynomial whose lambda^(n-m) coefficient is
+    s(n, m) c_m."""
+    if r < 1:
+        raise PolybernError(f"order r must be >= 1, got {r}")
+    check_r(r)
+    c = _values(poly_bernoulli_gf(k, precision) ** r)
+    return _series(LambdaPoly([row[m] * c[m] for m in range(n, -1, -1)])
+                   for n, row in enumerate(_stirling1_rows(precision)))
+
+
+def binomial_poly(tbl: SequenceTable, n: int) -> Polynomial:
+    # sum over l of C(n, l) * value(l) * x^(n-l)
+    out = [None] * (n + 1)
+    for l in range(n + 1):
+        out[n - l] = comb(n, l) * tbl.value(l)
+    return Polynomial(out)
+
+
+def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
+    """Degenerate Bernoulli polynomial in x, via the finite expansion in the
+    degenerate falling-factorial basis x(x - lambda)...(x - (m-1)lambda)."""
+    basis = Polynomial.constant(1)
+    acc = Polynomial.constant(tbl.value(n))
+    for m in range(1, n + 1):
+        basis = basis * Polynomial((LambdaPoly((0, -(m - 1))), 1))
+        acc = acc + basis * (comb(n, n - m) * tbl.value(n - m))
+    return acc
+
+
+class _Family(NamedTuple):
+    """One family id: ``gf(k, r, precision)`` calls its builder through the
+    module global; ``reads`` names which of k and r the family takes (a
+    table records k = None and r = 1 for the others); ``expression`` is its
+    expression-language text, formatted with k and r; ``poly(table, n)``
+    builds polynomial n, and is None for a family without one."""
+
+    gf: Callable[[int | None, int, int], Series]
+    reads: str
+    expression: str
+    poly: Callable[[SequenceTable, int], Polynomial] | None
+
+
+_FAMILIES = {
+    "bernoulli": _Family(lambda k, r, n: bernoulli_gf(n), "", "t/(exp(t)-1)", binomial_poly),
+    "daehee": _Family(lambda k, r, n: daehee_gf(n), "", "log(1+t)/t", None),
+    "carlitz": _Family(lambda k, r, n: carlitz_gf(n), "", "t/(elam(1)-1)", _carlitz_poly),
+    "poly-bernoulli": _Family(lambda k, r, n: poly_bernoulli_gf(k, n), "k",
+                              "li({k}, 1-exp(-t))/(exp(t)-1)", binomial_poly),
+    "dpb": _Family(lambda k, r, n: dpb_gf(k, n), "k",
+                   "li({k}, 1-elam(-1))/(elam(1)-1)", binomial_poly),
+    "dpb-higher": _Family(lambda k, r, n: dpb_higher_gf(k, r, n), "kr",
+                          "(li({k}, 1-elam(-1))/(elam(1)-1))^{r}", binomial_poly),
+}
+
+FAMILY_IDS = tuple(_FAMILIES)
+
+
+def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECISION) -> _Family:
+    spec = _FAMILIES.get(family)
+    if spec is None:
         raise PolybernError(
             f"unknown family '{family}' (expected one of {', '.join(FAMILY_IDS)})"
         )
-    if family in ("poly-bernoulli", "dpb", "dpb-higher"):
+    if "k" in spec.reads:
         if k is None:
             raise PolybernError(f"family '{family}' needs a polylog order --k")
         check_k(k)
@@ -339,53 +324,33 @@ def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECI
         raise PolybernError(f"order r must be >= 1, got {r}")
     check_r(r)
     check_precision(precision)
+    return spec
 
 
 def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
           r: int = 1) -> SequenceTable:
-    """SequenceTable for a family identifier (the CLI entry point)."""
-    _validate(family, k, r, precision)
-    if family == "bernoulli":
-        return bernoulli(precision)
-    if family == "daehee":
-        return daehee(precision)
-    if family == "carlitz":
-        return carlitz_beta(precision)
-    if family == "poly-bernoulli":
-        return poly_bernoulli(k, precision)
-    if family == "dpb":
-        return dpb_numbers(k, precision)
-    return dpb_higher_numbers(k, r, precision)
+    """The first ``precision`` entries of a family id, every bound checked."""
+    spec = _validate(family, k, r, precision)
+    k = k if "k" in spec.reads else None
+    r = r if "r" in spec.reads else 1
+    return SequenceTable(family, k, r, tuple(_values(spec.gf(k, r, precision))))
 
 
 def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,
                k: int | None = None, r: int = 1) -> Polynomial:
-    """Polynomial-in-x form of a family, where the family defines one.
+    """Polynomial n in x of a family id, built from its table.
 
     Carlitz's polynomial uses the degenerate falling-factorial basis; the
     others are Appell sequences, ``binomial_poly`` of the family's table.
     """
-    if family == "daehee":
+    if family in _FAMILIES and _FAMILIES[family].poly is None:
         raise PolybernError(f"family '{family}' has no polynomial form")
-    _validate(family, k, r, precision)
-    if family == "carlitz":
-        return carlitz_beta_poly(n, precision)
+    spec = _validate(family, k, r, precision)
     if n >= precision:
         raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
-    return binomial_poly(table(family, precision, k, r), n)
+    return spec.poly(table(family, precision, k, r), n)
 
 
 def canonical_expression(family: str, k: int | None = None, r: int = 1) -> str:
     """Expression-language text whose evaluation equals the family's gf."""
-    _validate(family, k, r)
-    if family == "bernoulli":
-        return "t/(exp(t)-1)"
-    if family == "daehee":
-        return "log(1+t)/t"
-    if family == "carlitz":
-        return "t/(elam(1)-1)"
-    if family == "poly-bernoulli":
-        return f"li({k}, 1-exp(-t))/(exp(t)-1)"
-    if family == "dpb":
-        return f"li({k}, 1-elam(-1))/(elam(1)-1)"
-    return f"(li({k}, 1-elam(-1))/(elam(1)-1))^{r}"
+    return _validate(family, k, r).expression.format(k=k, r=r)

@@ -60,12 +60,6 @@ class IdentityReport:
             w = {"n": self.witness.n, "lhs": self.witness.lhs, "rhs": self.witness.rhs}
         return {"id": self.id, "params": self.params, "status": self.status, "witness": w}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> IdentityReport:
-        w = d.get("witness")
-        witness = None if w is None else Witness(w["n"], w["lhs"], w["rhs"])
-        return cls(d["id"], dict(d["params"]), d["status"], witness)
-
 
 # -- shared helpers ----------------------------------------------------------
 
@@ -252,7 +246,7 @@ def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witnes
     """Orthogonality and regeneration for the degenerate family of order r."""
     g = Series.one(precision).div(_dpb_series(k, precision)) ** r
     f = Series.t(precision)
-    s = [families.dpb_higher_poly(k, r, m, precision) for m in range(nmax + 1)]
+    s = [families.polynomial("dpb-higher", m, precision, k=k, r=r) for m in range(nmax + 1)]
     if lam is not None:
         g = g.specialize(lam)
         f = f.specialize(lam)
@@ -270,8 +264,8 @@ def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witnes
 
 def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
     """Weight-0 collapse: the polynomials reduce to plain monomials."""
-    return _first_failure(((n, families.dpb_poly(0, n, precision), Polynomial.monomial(n))
-                           for n in range(nmax + 1)), lam)
+    return _first_failure(((n, families.polynomial("dpb", n, precision, k=0),
+                            Polynomial.monomial(n)) for n in range(nmax + 1)), lam)
 
 
 def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
@@ -325,26 +319,26 @@ _RANDOM = ("n_random", "max_degree", "seed")
 
 _CATALOG = {
     "eq5": _Entry(1, ("k", "nmax"), lambda a: check_eq5(
-        families.dpb_numbers(a.k, a.p), families.daehee(a.p), families.carlitz_beta(a.p),
-        a.nmax, a.lam), fixed=(("k", 1),)),
+        families.table("dpb", a.p, k=a.k), families.table("daehee", a.p),
+        families.table("carlitz", a.p), a.nmax, a.lam), fixed=(("k", 1),)),
     "eq17": _Entry(2, ("k", "nmax"), lambda a: check_eq17(
-        families.dpb_numbers(a.k, a.p), a.k, a.nmax, a.p, a.lam)),
+        families.table("dpb", a.p, k=a.k), a.k, a.nmax, a.p, a.lam)),
     "eq18": _Entry(2, ("k", "nmax", "seed", "ys"), lambda a: check_eq18(
-        families.dpb_numbers(a.k, a.p), a.nmax, a.ys, a.lam)),
+        families.table("dpb", a.p, k=a.k), a.nmax, a.ys, a.lam)),
     # thm1 and thm2 are Theorems 4 and 3 at r = 1.
     "thm1": _Entry(2, ("k", "nmax") + _RANDOM, lambda a: check_thm4(
-        families.dpb_numbers(a.k, a.p), a.k, 1, a.nmax, a.p, a.rng, a.n_random,
+        families.table("dpb", a.p, k=a.k), a.k, 1, a.nmax, a.p, a.rng, a.n_random,
         a.max_degree, a.lam)),
     "thm2": _Entry(2, ("k",) + _RANDOM, lambda a: check_thm3(
         a.k, 1, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
     "thm3": _Entry(2, ("k", "r") + _RANDOM, lambda a: check_thm3(
         a.k, a.r, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
     "thm4": _Entry(2, ("k", "r", "nmax") + _RANDOM, lambda a: check_thm4(
-        families.dpb_higher_numbers(a.k, a.r, a.p), a.k, a.r, a.nmax, a.p, a.rng,
+        families.table("dpb-higher", a.p, k=a.k, r=a.r), a.k, a.r, a.nmax, a.p, a.rng,
         a.n_random, a.max_degree, a.lam)),
     "remark": _Entry(1, ("k", "r", "nmax"), lambda a: check_remark(
-        families.dpb_higher_numbers(a.k, a.r, a.p), families.dpb_numbers(a.k, a.p), a.r,
-        a.nmax, a.lam)),
+        families.table("dpb-higher", a.p, k=a.k, r=a.r), families.table("dpb", a.p, k=a.k),
+        a.r, a.nmax, a.lam)),
     "sheffer16": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
         a.k, a.r, a.nmax, a.p, a.lam), fixed=(("r", 1),)),
     "sheffer23": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
@@ -352,10 +346,10 @@ _CATALOG = {
     "k0": _Entry(1, ("nmax",), lambda a: check_k0(a.nmax, a.p, a.lam)),
     "lambda0": _Entry(1, ("k", "nmax"), lambda a: check_lambda0(a.k, a.nmax, a.p, a.lam)),
     "stirling1": _Entry(1, ("k", "r", "nmax"), lambda a: check_stirling1(
-        families.dpb_higher_numbers(a.k, a.r, a.p), families.carlitz_beta(a.p), a.k, a.r,
-        a.nmax, a.p, a.lam)),
+        families.table("dpb-higher", a.p, k=a.k, r=a.r), families.table("carlitz", a.p),
+        a.k, a.r, a.nmax, a.p, a.lam)),
     "kaneko": _Entry(1, ("k", "nmax"), lambda a: check_kaneko(
-        families.poly_bernoulli(a.k, a.p), a.k, a.nmax, a.p, a.lam)),
+        families.table("poly-bernoulli", a.p, k=a.k), a.k, a.nmax, a.p, a.lam)),
 }
 
 CATALOG_IDS = tuple(_CATALOG)

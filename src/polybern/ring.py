@@ -31,7 +31,6 @@ __all__ = [
     "LambdaPoly",
     "LAMBDA",
     "lambda_eval",
-    "lambda_is_constant",
     "format_rational",
     "format_scalar",
 ]
@@ -338,10 +337,6 @@ class LambdaPoly:
         # qk is now q^(d+1); the value is acc / (den * q^d).
         return Fraction(acc * q, self._den * qk)
 
-    def is_constant(self) -> tuple[bool, Fraction]:
-        """Whether degree <= 0, together with the constant term."""
-        return (self.degree <= 0, self.constant_term)
-
     def __str__(self) -> str:
         return format_terms(self.coeffs, "lambda")
 
@@ -357,13 +352,6 @@ def lambda_eval(p, v) -> Fraction:
     if isinstance(p, LambdaPoly):
         return p.evaluate(v)
     return Fraction(p)
-
-
-def lambda_is_constant(p) -> tuple[bool, Fraction]:
-    """(degree <= 0, constant term) for LambdaPoly or plain rationals."""
-    if isinstance(p, LambdaPoly):
-        return p.is_constant()
-    return (True, Fraction(p))
 
 
 def format_scalar(value) -> str:

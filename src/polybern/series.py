@@ -37,10 +37,9 @@ def invert_constant(c):
     Invertible means: a nonzero rational, or a degree-0 nonzero LambdaPoly.
     """
     if isinstance(c, LambdaPoly):
-        flat, value = c.is_constant()
-        if not flat or not value:
+        if c.degree > 0 or not c.constant_term:
             return None
-        return 1 / value
+        return 1 / c.constant_term
     c = Fraction(c)
     if not c:
         return None

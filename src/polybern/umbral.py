@@ -19,21 +19,13 @@ from .polynomials import Polynomial
 from .series import Series, invert_constant
 
 __all__ = [
-    "Functional",
     "pair",
     "op_apply",
-    "shift",
     "bernoulli_operator",
     "invariant_integral",
-    "difference_property",
     "sheffer_regenerate",
-    "sheffer_verify",
     "sheffer_failure",
 ]
-
-
-def _series_of(f) -> Series:
-    return f.series if isinstance(f, Functional) else f
 
 
 def _check_precision(f: Series, p: Polynomial, what: str):
@@ -44,24 +36,8 @@ def _check_precision(f: Series, p: Polynomial, what: str):
         )
 
 
-class Functional:
-    """A series viewed as a linear functional on polynomials."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: Series):
-        object.__setattr__(self, "series", series)
-
-    def pair(self, p: Polynomial):
-        return pair(self.series, p)
-
-    def __repr__(self) -> str:
-        return f"Functional({self.series})"
-
-
-def pair(f, p: Polynomial):
+def pair(f: Series, p: Polynomial):
     """<f(t)|p(x)> = sum_n p_n * n! * [t^n] f."""
-    f = _series_of(f)
     _check_precision(f, p, "pairing")
     acc = Fraction(0)
     for n, c in enumerate(p.coeffs):
@@ -70,9 +46,8 @@ def pair(f, p: Polynomial):
     return acc
 
 
-def op_apply(f, p: Polynomial) -> Polynomial:
+def op_apply(f: Series, p: Polynomial) -> Polynomial:
     """f(t) acting on p: sum_k ([t^k]f) * (k-th derivative of p)."""
-    f = _series_of(f)
     _check_precision(f, p, "operator action")
     acc = Polynomial()
     d = p
@@ -82,11 +57,6 @@ def op_apply(f, p: Polynomial) -> Polynomial:
             acc = acc + d * c
         d = d.derivative()
     return acc
-
-
-def shift(p: Polynomial, y) -> Polynomial:
-    """The translate q(x) = p(x + y)."""
-    return p.shift(y)
 
 
 @lru_cache(maxsize=None)
@@ -100,16 +70,6 @@ def invariant_integral(p: Polynomial, r: int = 1):
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
     return pair(bernoulli_operator(p.degree + 1, r), p)
-
-
-def difference_property(p: Polynomial):
-    """(integral of p(x+1) minus integral of p, derivative of p at 0).
-
-    The two components agree for every polynomial.
-    """
-    lhs = invariant_integral(p.shift(1)) - invariant_integral(p)
-    rhs = p.derivative()(0)
-    return (lhs, rhs)
 
 
 def _sheffer_preconditions(g: Series, f: Series):
@@ -172,8 +132,3 @@ def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
         if regen[n] != s[n]:
             return ("regen", n, regen[n], s[n])
     return None
-
-
-def sheffer_verify(g: Series, f: Series, s: list[Polynomial], nmax: int) -> bool:
-    """True iff s_0..s_nmax is the Sheffer sequence for (g, f)."""
-    return sheffer_failure(g, f, s, nmax) is None

@@ -40,7 +40,7 @@ def test_criterion_1_collapse_checks():
     _clear_caches()
     start = time.monotonic()
     for n in range(21):
-        assert families.dpb_poly(0, n, 22) == Polynomial.monomial(n)
+        assert families.polynomial("dpb", n, 22, k=0) == Polynomial.monomial(n)
     beta1 = families.dpb_gf(1, 6).specialize(0)
     values = [factorial(n) * beta1[n] for n in range(5)]
     assert values == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
@@ -159,11 +159,11 @@ def test_criterion_7_mutation_sensitivity():
     p = 10
     nmax = 8
     rng = random.Random(0)
-    dpb1 = families.dpb_numbers(1, p)
-    dh = families.daehee(p)
-    cz = families.carlitz_beta(p)
-    dpb2 = families.dpb_numbers(2, p)
-    higher = families.dpb_higher_numbers(2, 2, p)
+    dpb1 = families.table("dpb", p, k=1)
+    dh = families.table("daehee", p)
+    cz = families.table("carlitz", p)
+    dpb2 = families.table("dpb", p, k=2)
+    higher = families.table("dpb-higher", p, k=2, r=2)
 
     for n0 in range(nmax + 1):
         w = check_eq5(_perturbed(dpb1, n0), dh, cz, nmax)

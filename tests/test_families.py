@@ -2,8 +2,10 @@
 
 import importlib
 import pkgutil
+import re
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -61,8 +63,8 @@ def test_elam_specializes_to_exponential():
 
 
 def test_daehee_closed_form():
-    tbl = families.daehee(10)
-    for n, value in tbl.rows():
+    tbl = families.table("daehee", 10)
+    for n, value in enumerate(tbl.values):
         assert value == Fraction((-1) ** n * factorial(n), n + 1)
     assert tbl.value(0) == 1
     assert tbl.value(1) == Fraction(-1, 2)
@@ -74,7 +76,7 @@ def test_daehee_closed_form():
 
 
 def test_carlitz_low_order_values():
-    tbl = families.carlitz_beta(6)
+    tbl = families.table("carlitz", 6)
     assert tbl.value(0) == 1
     assert tbl.value(1) == lp(Fraction(-1, 2), Fraction(1, 2))
     assert tbl.value(2) == lp(Fraction(1, 6), 0, Fraction(-1, 6))
@@ -94,7 +96,7 @@ def test_carlitz_against_reciprocal_series_oracle():
 def test_carlitz_specializes_to_bernoulli():
     n = 13
     bs = bernoulli_oracle(n)
-    tbl = families.carlitz_beta(n)
+    tbl = families.table("carlitz", n)
     for m in range(n):
         assert lambda_eval(tbl.value(m), 0) == bs[m]
 
@@ -119,19 +121,19 @@ def test_polylog_low_orders():
 
 def test_poly_bernoulli_leading_value():
     for k in range(-2, 4):
-        assert families.poly_bernoulli(k, 4).value(0) == 1
+        assert families.table("poly-bernoulli", 4, k=k).value(0) == 1
 
 
 def test_poly_bernoulli_k1_is_classical():
     n = 12
-    tbl = families.poly_bernoulli(1, n)
-    assert list(v for _, v in tbl.rows()) == bernoulli_oracle(n)
+    tbl = families.table("poly-bernoulli", n, k=1)
+    assert list(tbl.values) == bernoulli_oracle(n)
 
 
 def test_poly_bernoulli_k2_first_value():
     # Li_2(1 - e^(-t)) = t - t^2/4 + O(t^3); dividing by e^t - 1 leaves
     # 1 - (3/4) t + O(t^2).
-    assert families.poly_bernoulli(2, 3).value(1) == Fraction(-3, 4)
+    assert families.table("poly-bernoulli", 3, k=2).value(1) == Fraction(-3, 4)
 
 
 # -- degenerate poly-Bernoulli -----------------------------------------------------
@@ -140,12 +142,12 @@ def test_poly_bernoulli_k2_first_value():
 def test_dpb_k0_collapses_to_one():
     gf = families.dpb_gf(0, 12)
     assert gf == Series.one(12)
-    tbl = families.dpb_numbers(0, 12)
-    assert [v for _, v in tbl.rows()] == [1] + [0] * 11
+    tbl = families.table("dpb", 12, k=0)
+    assert list(tbl.values) == [1] + [0] * 11
 
 
 def test_dpb_k2_first_values():
-    tbl = families.dpb_numbers(2, 3)
+    tbl = families.table("dpb", 3, k=2)
     assert tbl.value(0) == 1
     assert tbl.value(1) == Fraction(-3, 4)  # lambda-free
 
@@ -189,33 +191,33 @@ def series_table(gf):
 def test_dpb_table_matches_series_assembly():
     for k in range(-3, 4):
         for n in (1, 2, 7, 20):
-            assert families.dpb_numbers(k, n).values == series_table(series_dpb(k, n)), (k, n)
+            assert families.table("dpb", n, k=k).values == series_table(series_dpb(k, n)), (k, n)
 
 
 def test_dpb_higher_table_matches_series_assembly():
     for k in (-2, 1, 3):
         gf = series_dpb(k, 12)
         for r in (1, 2, 3):
-            got = families.dpb_higher_numbers(k, r, 12).values
+            got = families.table("dpb-higher", 12, k=k, r=r).values
             assert got == series_table(gf ** r), (k, r)
 
 
 def test_carlitz_table_matches_series_assembly():
     for n in (1, 2, 9, 20):
         gf = Series.t(n + 1).div(families.elam(1, n + 1) - 1)
-        assert families.carlitz_beta(n).values == series_table(gf), n
+        assert families.table("carlitz", n).values == series_table(gf), n
 
 
 def test_poly_bernoulli_table_matches_series_assembly():
     for k in range(-3, 4):
-        got = families.poly_bernoulli(k, 64).values
+        got = families.table("poly-bernoulli", 64, k=k).values
         assert got == series_table(series_poly_bernoulli(k, 64)), k
 
 
 def test_dpb_poly_examples():
-    assert families.dpb_poly(2, 0, 4) == Polynomial.constant(1)
-    assert families.dpb_poly(0, 7, 9) == Polynomial.monomial(7)
-    p = families.dpb_poly(2, 1, 4)
+    assert families.polynomial("dpb", 0, 4, k=2) == Polynomial.constant(1)
+    assert families.polynomial("dpb", 7, 9, k=0) == Polynomial.monomial(7)
+    p = families.polynomial("dpb", 1, 4, k=2)
     assert p == Polynomial([Fraction(-3, 4), 1])
     assert str(p) == "x - 3/4"
 
@@ -231,10 +233,10 @@ def test_dpb_higher_k0_is_one():
 
 def test_dpb_higher_k2_r2_value():
     # binomial convolution: sum_i C(1,i) b_i b_(1-i) = 2 * 1 * (-3/4)
-    base = families.dpb_numbers(2, 4)
+    base = families.table("dpb", 4, k=2)
     expected = sum(comb(1, i) * base.value(i) * base.value(1 - i) for i in (0, 1))
     assert expected == Fraction(-3, 2)
-    assert families.dpb_higher_numbers(2, 2, 4).value(1) == expected
+    assert families.table("dpb-higher", 4, k=2, r=2).value(1) == expected
 
 
 def test_dpb_higher_power_equals_repeated_mul():
@@ -253,13 +255,13 @@ def test_carlitz_poly_lambda_zero_is_classical_bernoulli_poly():
     bs = bernoulli_oracle(6)
     for n in range(6):
         expected = Polynomial([comb(n, n - j) * bs[n - j] for j in range(n + 1)])
-        assert families.carlitz_beta_poly(n, 8).specialize(0) == expected
+        assert families.polynomial("carlitz", n, 8).specialize(0) == expected
 
 
 def test_carlitz_poly_at_zero_gives_numbers():
-    tbl = families.carlitz_beta(8)
+    tbl = families.table("carlitz", 8)
     for n in range(8):
-        assert families.carlitz_beta_poly(n, 8)(0) == tbl.value(n)
+        assert families.polynomial("carlitz", n, 8)(0) == tbl.value(n)
 
 
 # -- tables, dispatch, errors -------------------------------------------------------
@@ -273,7 +275,7 @@ def test_table_dispatch_and_identifiers():
 
 
 def test_table_value_precision_guard():
-    tbl = families.daehee(4)
+    tbl = families.table("daehee", 4)
     with pytest.raises(PrecisionExceeded):
         tbl.value(4)
     with pytest.raises(PrecisionExceeded):
@@ -282,9 +284,9 @@ def test_table_value_precision_guard():
 
 def test_poly_constructor_precision_guard():
     with pytest.raises(PrecisionExceeded):
-        families.dpb_poly(2, 5, 5)
+        families.polynomial("dpb", 5, 5, k=2)
     with pytest.raises(PrecisionExceeded):
-        families.carlitz_beta_poly(9, 9)
+        families.polynomial("carlitz", 9, 9)
 
 
 def test_unknown_family_and_missing_k():
@@ -297,7 +299,7 @@ def test_unknown_family_and_missing_k():
     with pytest.raises(PolybernError):
         families.polynomial("daehee", 3, 5)
     with pytest.raises(PolybernError):
-        families.dpb_poly(None, 2, 4)
+        families.polynomial("dpb", 2, 4, k=None)
     with pytest.raises(PolybernError):
         families.table("poly-bernoulli", 3, k=families.MAX_ABS_K + 1)
     with pytest.raises(PolybernError):
@@ -313,10 +315,34 @@ def test_unknown_family_and_missing_k():
     assert len(families.table("bernoulli", families.MAX_PRECISION)) == families.MAX_PRECISION
 
 
+def test_gf_builders_check_k_and_r():
+    over = families.MAX_ABS_K + 1
+    for build in (lambda: families.polylog_series(over, 3),
+                  lambda: families.poly_bernoulli_gf(-over, 3),
+                  lambda: families.dpb_gf(over, 3),
+                  lambda: families.dpb_gf(99999999, 3),
+                  lambda: families.dpb_higher_gf(-over, 2, 3)):
+        with pytest.raises(PolybernError, match="polylog order"):
+            build()
+    with pytest.raises(PolybernError, match="order r must satisfy"):
+        families.dpb_higher_gf(1, families.MAX_R + 1, 3)
+    assert families.polylog_series(families.MAX_ABS_K, 3)[2] == Fraction(1, 2**100)
+    assert families.poly_bernoulli_gf(-families.MAX_ABS_K, 3)[0] == 1
+    assert families.dpb_higher_gf(1, families.MAX_R, 3)[0] == 1
+
+
 def test_every_exported_name_resolves():
-    for info in pkgutil.iter_modules(polybern.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"polybern.{info.name}")
+    assert polybern.__all__
+    modules = [polybern] + [importlib.import_module(f"polybern.{info.name}")
+                            for info in pkgutil.iter_modules(polybern.__path__)
+                            if info.name != "__main__"]
+    for module in modules:
         for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"polybern.{info.name}.__all__ names {name}"
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -20,6 +20,7 @@ from polybern.parser import (
     Div,
     ExprSyntaxError,
     LambdaSym,
+    MAX_EXPONENT,
     MAX_NESTING,
     MAX_OPERATORS,
     Mul,
@@ -125,14 +126,19 @@ def test_syntax_error_offset_and_expected():
 
 
 def test_nesting_and_operator_count_are_bounded():
-    n, m = MAX_NESTING, MAX_OPERATORS
+    n, m, e = MAX_NESTING, MAX_OPERATORS, MAX_EXPONENT
     assert eval_expr(parse("(" * n + "t" + ")" * n), 2) == Series.t(2)
     assert eval_expr(parse("log(1+" * n + "t" + ")" * n), 2) == Series.t(2)
     assert eval_expr(parse("+".join(["t"] * (m + 1))), 2) == Series.t(2) * (m + 1)
-    # the recursion each would need is refused before it starts
+    assert eval_expr(parse(f"(1+t)^{e}"), 3) == Series([1, e, e * (e - 1) // 2])
+    assert eval_expr(parse(f"(1+t)^-{e}"), 3) == Series([1, -e, e * (e + 1) // 2])
+    # the recursion or power each would need is refused before it starts;
+    # an exponent error points at the exponent, its sign included
     for text, offset in (("(" * (n + 1) + "t" + ")" * (n + 1), n + 1),
                          ("log(1+" * (n + 1) + "t" + ")" * (n + 1), 6 * n + 4),
-                         ("+".join(["t"] * (m + 2)), 2 * m + 1)):
+                         ("+".join(["t"] * (m + 2)), 2 * m + 1),
+                         (f"(1+t)^{e + 1}", 6), (f"(1+t)^-{e + 1}", 6),
+                         ("t*(1+t)^" + "9" * 200, 8)):
         with pytest.raises(ExprSyntaxError) as exc:
             parse(text)
         assert exc.value.offset == offset
@@ -226,7 +232,7 @@ def test_render_round_trip_random_asts(ast):
 def test_eval_carlitz_matches_table():
     got = eval_expr(parse("t/(elam(1)-1)"), 8)
     assert got.precision == 8
-    tbl = families.carlitz_beta(8)
+    tbl = families.table("carlitz", 8)
     for n in range(8):
         assert factorial(n) * got[n] == tbl.value(n)
 
@@ -318,6 +324,10 @@ def test_eval_errors_carry_spans():
     with pytest.raises(PolybernError, match="polylog order") as exc:
         eval_expr(parse("t + li(99999999, t)"), 4)
     assert exc.value.span == (4, 19)
+    # k is checked before the argument is evaluated
+    with pytest.raises(PolybernError, match="polylog order") as exc:
+        eval_expr(parse("li(101, log(t))"), 4)
+    assert exc.value.span == (0, 15)
 
 
 def test_eval_order_is_bounded():

@@ -12,9 +12,8 @@ from polybern.ring import (
     LambdaPoly,
     format_rational,
     lambda_eval,
-    lambda_is_constant,
 )
-from polybern.series import Series
+from polybern.series import Series, invert_constant
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 lambda_polys = st.lists(fractions, max_size=4).map(LambdaPoly)
@@ -113,11 +112,12 @@ def test_lambda_eval_examples():
 
 
 def test_lambda_is_constant_examples():
-    assert lambda_is_constant(lp(Fraction(-3, 4))) == (True, Fraction(-3, 4))
-    assert lambda_is_constant(LAMBDA) == (False, 0)
+    # only a nonzero lambda-free constant is invertible
+    assert invert_constant(lp(Fraction(-3, 4))) == Fraction(-4, 3)
+    assert invert_constant(LAMBDA) is None
     half = lp(Fraction(-1, 2), Fraction(1, 2))  # (lambda - 1)/2
-    assert lambda_is_constant(half) == (False, Fraction(-1, 2))
-    assert lambda_is_constant(Fraction(4)) == (True, 4)
+    assert invert_constant(half) is None
+    assert invert_constant(Fraction(4)) == Fraction(1, 4)
 
 
 def test_rendering_grammar():
