@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -32,28 +31,6 @@ BOUNDS_TEXT = (
     "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 125 s; "
     "verify remark --k 100 --r 40 --n 30 takes 20 s. The cost of eval also grows "
     "with the size of the expression.")
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One table or eval result; rows are (n, value) or (n, coeff, n!*coeff)."""
-
-    family: str | None
-    expr: str | None
-    k: int | None
-    r: int
-    lam: str
-    rows: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "expr": self.expr,
-            "k": self.k,
-            "r": self.r,
-            "lambda": self.lam,
-            "rows": [list(row) for row in self.rows],
-        }
 
 
 def _columns(header: list[str], rows: list[list[str]]) -> str:
@@ -81,15 +58,12 @@ def _json_text(d: dict) -> str:
     return json.dumps(d) + "\n"
 
 
-def render_record(record: OutputRecord, fmt: str) -> str:
+def render_record(record: dict, fmt: str) -> str:
+    """One table or eval result; its rows are (n, value) or (n, coeff, n!*coeff)."""
     if fmt == "json":
-        return _json_text(record.to_json_dict())
-    if record.expr is None:
-        header = ["n", "value"]
-        rows = [[str(n), v] for n, v in record.rows]
-    else:
-        header = ["n", "coefficient", "sequence"]
-        rows = [[str(n), c, s] for n, c, s in record.rows]
+        return _json_text(record)
+    header = ["n", "value"] if record["expr"] is None else ["n", "coefficient", "sequence"]
+    rows = [[str(n), *cells] for n, *cells in record["rows"]]
     if fmt == "csv":
         return _csv_text(header, rows)
     return _columns(header, rows)
@@ -187,8 +161,14 @@ def cmd_table(args) -> int:
     if args.n > order:
         raise PolybernError(f"--n {args.n} exceeds the working precision {order}")
     tbl = families.table(args.family, args.n, k=args.k, r=args.r)
-    rows = tuple((n, _specialized_str(v, args.lam)) for n, v in enumerate(tbl.values))
-    record = OutputRecord(args.family, None, tbl.k, tbl.r, _lam_label(args.lam), rows)
+    record = {
+        "family": args.family,
+        "expr": None,
+        "k": tbl.k,
+        "r": tbl.r,
+        "lambda": _lam_label(args.lam),
+        "rows": [(n, _specialized_str(v, args.lam)) for n, v in enumerate(tbl.values)],
+    }
     sys.stdout.write(render_record(record, args.fmt))
     return 0
 
@@ -249,12 +229,15 @@ def cmd_eval(args) -> int:
     series = expr.eval_expr(expr.parse(args.expression), order)
     if args.lam is not None:
         series = series.specialize(args.lam)
-    rows = tuple(
-        (n, format_scalar(series[n]), format_scalar(factorial(n) * series[n]))
-        for n in range(order)
-    )
-    record = OutputRecord(None, args.expression, args.k, args.r,
-                          _lam_label(args.lam), rows)
+    record = {
+        "family": None,
+        "expr": args.expression,
+        "k": args.k,
+        "r": args.r,
+        "lambda": _lam_label(args.lam),
+        "rows": [(n, format_scalar(series[n]), format_scalar(factorial(n) * series[n]))
+                 for n in range(order)],
+    }
     sys.stdout.write(render_record(record, args.fmt))
     return 0
 

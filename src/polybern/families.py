@@ -24,7 +24,6 @@ precision.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -84,14 +83,22 @@ MAX_PRECISION = 128
 # than the tables.
 MAX_CHECK_PRECISION = 32
 
-@dataclass(frozen=True)
 class SequenceTable:
     """Exact values of one family: entry n is n! * [t^n] of its gf."""
 
-    family: str
-    k: int | None
-    r: int
-    values: tuple
+    __slots__ = ("family", "k", "r", "values")
+
+    def __init__(self, family: str, k: int | None, r: int, values: tuple):
+        self.family, self.k, self.r, self.values = family, k, r, values
+
+    def _key(self) -> tuple:
+        return self.family, self.k, self.r, self.values
+
+    def __eq__(self, other):
+        return isinstance(other, SequenceTable) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -346,8 +353,9 @@ def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,
     if family in _FAMILIES and _FAMILIES[family].poly is None:
         raise PolybernError(f"family '{family}' has no polynomial form")
     spec = _validate(family, k, r, precision)
-    if n >= precision:
-        raise PrecisionExceeded(f"n = {n} exceeds precision {precision}")
+    if not 0 <= n < precision:
+        bound = f"exceeds precision {precision}" if n >= 0 else "is negative"
+        raise PrecisionExceeded(f"n = {n} {bound}")
     return spec.poly(table(family, precision, k, r), n)
 
 

@@ -21,8 +21,9 @@ slash-form literal is never an integer slot: ``t^2/2`` is a syntax error
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
 from . import families
 from .errors import PolybernError
@@ -67,65 +68,64 @@ class ArityError(ExprSyntaxError):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Node:
-    span: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
+    """AST node: its ``fields`` in constructor order, and the ``span`` of its
+    source text, which == and hash ignore."""
+
+    __slots__ = ("fields", "span")
+
+    def __init__(self, *fields, span=(0, 0)):
+        self.fields = fields
+        self.span = span
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.fields == other.fields
+
+    def __hash__(self):
+        return hash((type(self), self.fields))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.fields))})"
 
 
-@dataclass(frozen=True)
 class RationalLit(_Node):
-    value: Fraction = Fraction(0)
+    __slots__ = ()  # (value: Fraction)
 
 
-@dataclass(frozen=True)
 class LambdaSym(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TVar(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Add(_Node):
-    lhs: _Node = None
-    rhs: _Node = None
+    __slots__ = ()  # (lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Sub(_Node):
-    lhs: _Node = None
-    rhs: _Node = None
+    __slots__ = ()  # (lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Mul(_Node):
-    lhs: _Node = None
-    rhs: _Node = None
+    __slots__ = ()  # (lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Div(_Node):
-    lhs: _Node = None
-    rhs: _Node = None
+    __slots__ = ()  # (lhs, rhs)
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    operand: _Node = None
+    __slots__ = ()  # (operand,)
 
 
-@dataclass(frozen=True)
 class PowInt(_Node):
-    base: _Node = None
-    exponent: int = 1
+    __slots__ = ()  # (base, exponent: int)
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    name: str = ""
-    args: tuple = ()
+    __slots__ = ()  # (name: str, args: tuple of nodes)
 
 
 # -- lexer --------------------------------------------------------------------
@@ -138,8 +138,7 @@ _NAMES = ("log", "exp", "li", "elam", "lambda", "t")
 MAX_LITERAL_LENGTH = 1000
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT | RAT | NAME | one of the operator characters | EOF
     text: str
     pos: int
@@ -336,34 +335,24 @@ class _Parser:
         name_tok = self.advance()
         name = name_tok.text
         self.expect("(", {"("})
-        if name in ("log", "exp"):
-            arg = self.expr()
-            tok = self.peek()
-            if tok.kind == ",":
-                raise ArityError(f"{name} takes one argument", tok.pos, {")"})
-            close = self.expect(")", {")"})
-            return Call(name, (arg,), span=(name_tok.pos, close.pos + 1))
         if name == "li":
             k, k_end = self.int_literal()
             tok = self.peek()
             if tok.kind == ")":
                 raise ArityError("li takes two arguments", tok.pos, {","})
             self.expect(",", {","})
-            arg = self.expr()
-            tok = self.peek()
-            if tok.kind == ",":
-                raise ArityError("li takes two arguments", tok.pos, {")"})
-            close = self.expect(")", {")"})
-            k_node = RationalLit(Fraction(k), span=(name_tok.pos + 3, k_end))
-            return Call(name, (k_node, arg), span=(name_tok.pos, close.pos + 1))
-        # elam
-        value, vspan = self.rational_literal()
+            args = (RationalLit(Fraction(k), span=(name_tok.pos + 3, k_end)), self.expr())
+        elif name == "elam":
+            value, vspan = self.rational_literal()
+            args = (RationalLit(value, span=vspan),)
+        else:
+            args = (self.expr(),)
         tok = self.peek()
         if tok.kind == ",":
-            raise ArityError("elam takes one argument", tok.pos, {")"})
+            count = "two arguments" if name == "li" else "one argument"
+            raise ArityError(f"{name} takes {count}", tok.pos, {")"})
         close = self.expect(")", {")"})
-        v_node = RationalLit(value, span=vspan)
-        return Call(name, (v_node,), span=(name_tok.pos, close.pos + 1))
+        return Call(name, args, span=(name_tok.pos, close.pos + 1))
 
 
 def parse(text: str) -> _Node:
@@ -371,21 +360,26 @@ def parse(text: str) -> _Node:
     return _Parser(text).parse()
 
 
-# -- rendering ----------------------------------------------------------------
+# -- rendering and evaluation --------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
+# Each binary node's symbol, precedence and series operation. The operations
+# are the operator module's, which look the method up on the operand's class
+# at each call, so a Series method patched after import is still the one run.
+_BINARY = {
+    Add: ("+", _PREC_ADD, add),
+    Sub: ("-", _PREC_ADD, sub),
+    Mul: ("*", _PREC_MUL, mul),
+    Div: ("/", _PREC_MUL, truediv),
+}
+
 
 def _prec(node: _Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, PowInt):
-        return _PREC_POW
-    return _PREC_ATOM
+    kind = type(node)
+    if kind in _BINARY:
+        return _BINARY[kind][1]
+    return _PREC_NEG if kind is Neg else _PREC_POW if kind is PowInt else _PREC_ATOM
 
 
 def _wrap(node: _Node, minimum: int) -> str:
@@ -395,92 +389,70 @@ def _wrap(node: _Node, minimum: int) -> str:
 
 def render(node: _Node) -> str:
     """Deterministic text whose reparse is structurally identical."""
-    if isinstance(node, RationalLit):
-        return format_rational(node.value)
-    if isinstance(node, LambdaSym):
+    kind = type(node)
+    if kind in _BINARY:
+        symbol, prec, _ = _BINARY[kind]
+        lhs, rhs = node.fields
+        return f"{_wrap(lhs, prec)} {symbol} {_wrap(rhs, prec + 1)}"
+    if kind is RationalLit:
+        return format_rational(node.fields[0])
+    if kind is LambdaSym:
         return "lambda"
-    if isinstance(node, TVar):
+    if kind is TVar:
         return "t"
-    if isinstance(node, Add):
-        return f"{_wrap(node.lhs, _PREC_ADD)} + {_wrap(node.rhs, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.lhs, _PREC_ADD)} - {_wrap(node.rhs, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.lhs, _PREC_MUL)} * {_wrap(node.rhs, _PREC_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.lhs, _PREC_MUL)} / {_wrap(node.rhs, _PREC_MUL + 1)}"
-    if isinstance(node, Neg):
-        return f"-{_wrap(node.operand, _PREC_POW)}"
-    if isinstance(node, PowInt):
-        return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}"
-    if isinstance(node, Call):
-        if node.name == "li":
-            k = node.args[0].value
-            return f"li({k.numerator}, {render(node.args[1])})"
-        return f"{node.name}({render(node.args[0])})"
+    if kind is Neg:
+        return f"-{_wrap(node.fields[0], _PREC_POW)}"
+    if kind is PowInt:
+        base, exponent = node.fields
+        return f"{_wrap(base, _PREC_ATOM)}^{exponent}"
+    if kind is Call:
+        name, args = node.fields
+        return f"{name}({', '.join(map(render, args))})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# -- evaluation ---------------------------------------------------------------
-
-
 def _count_divs(node: _Node) -> int:
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        extra = 1 if isinstance(node, Div) else 0
-        return extra + _count_divs(node.lhs) + _count_divs(node.rhs)
-    if isinstance(node, Neg):
-        return _count_divs(node.operand)
-    if isinstance(node, PowInt):
-        return _count_divs(node.base)
-    if isinstance(node, Call):
-        return sum(_count_divs(a) for a in node.args)
-    return 0
-
-
-def _tagged(err: PolybernError, span: tuple[int, int]):
-    if getattr(err, "span", None) is None:
-        err.span = span
-    return err
+    count = int(type(node) is Div)
+    for field in node.fields:
+        if isinstance(field, _Node):
+            count += _count_divs(field)
+        elif isinstance(field, tuple):
+            count += sum(map(_count_divs, field))
+    return count
 
 
 def _eval(node: _Node, n: int) -> Series:
-    if isinstance(node, RationalLit):
-        return Series.constant(node.value, n)
-    if isinstance(node, LambdaSym):
-        return Series.constant(LAMBDA, n)
-    if isinstance(node, TVar):
-        return Series.t(n)
-    if isinstance(node, Add):
-        return _eval(node.lhs, n) + _eval(node.rhs, n)
-    if isinstance(node, Sub):
-        return _eval(node.lhs, n) - _eval(node.rhs, n)
-    if isinstance(node, Mul):
-        return _eval(node.lhs, n) * _eval(node.rhs, n)
-    if isinstance(node, Div):
-        try:
-            return _eval(node.lhs, n).div(_eval(node.rhs, n))
-        except PolybernError as err:
-            raise _tagged(err, node.span)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, n)
-    if isinstance(node, PowInt):
-        try:
-            return _eval(node.base, n) ** node.exponent
-        except PolybernError as err:
-            raise _tagged(err, node.span)
-    if isinstance(node, Call):
-        try:
-            if node.name == "log":
-                return _eval(node.args[0], n).log()
-            if node.name == "exp":
-                return _eval(node.args[0], n).exp()
-            if node.name == "li":
+    kind = type(node)
+    try:
+        if kind in _BINARY:
+            lhs, rhs = node.fields
+            return _BINARY[kind][2](_eval(lhs, n), _eval(rhs, n))
+        if kind is RationalLit:
+            return Series.constant(node.fields[0], n)
+        if kind is LambdaSym:
+            return Series.constant(LAMBDA, n)
+        if kind is TVar:
+            return Series.t(n)
+        if kind is Neg:
+            return -_eval(node.fields[0], n)
+        if kind is PowInt:
+            base, exponent = node.fields
+            return _eval(base, n) ** exponent
+        if kind is Call:
+            name, args = node.fields
+            if name == "li":
                 # polylog_series checks k before the argument is evaluated
-                k = node.args[0].value.numerator
-                return families.polylog_series(k, n).compose(_eval(node.args[1], n))
-            return families.elam(node.args[0].value, n)
-        except PolybernError as err:
-            raise _tagged(err, node.span)
+                k = args[0].fields[0].numerator
+                return families.polylog_series(k, n).compose(_eval(args[1], n))
+            if name == "elam":
+                return families.elam(args[0].fields[0], n)
+            arg = _eval(args[0], n)
+            return arg.log() if name == "log" else arg.exp()
+    except PolybernError as err:
+        # the innermost division, power or call around the failure names it
+        if kind in (Div, PowInt, Call) and getattr(err, "span", None) is None:
+            err.span = node.span
+        raise
     raise TypeError(f"not an AST node: {node!r}")
 
 

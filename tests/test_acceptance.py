@@ -5,7 +5,6 @@ line per criterion. Everything is checked at tolerance zero; the only
 numeric bounds here are the two runtime budgets.
 """
 
-import dataclasses
 import random
 import subprocess
 import sys
@@ -152,7 +151,7 @@ def test_criterion_6_series_properties_at_order_32():
 def _perturbed(tbl, index):
     values = list(tbl.values)
     values[index] = values[index] + 1
-    return dataclasses.replace(tbl, values=tuple(values))
+    return families.SequenceTable(tbl.family, tbl.k, tbl.r, tuple(values))
 
 
 def test_criterion_7_mutation_sensitivity():

@@ -1,15 +1,18 @@
 """Process-level CLI tests: byte-exact output, exit codes, formats."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polybern import cli, families
-from polybern.cli import OutputRecord
+from polybern import cli, families, identities
 
 
 def run_cli(*args):
@@ -176,6 +179,91 @@ def test_oversized_expression_exits_two_without_traceback(text):
     assert proc.stderr.startswith("polybern: error") and "Traceback" not in proc.stderr
 
 
+def _expressions(depth):
+    """Expression text from the grammar, nested at most ``depth`` deep, with
+    its malformed neighbours. Exponents stay small: powers of powers compound,
+    and the test checks exit codes, not cost."""
+    atoms = st.one_of(
+        st.integers(0, 99).map(str),
+        st.sampled_from(["1/2", "9" * 1000, "lambda", "λ", "t", "elam(1)", "elam(-2/3)"]),
+    )
+    if depth == 0:
+        return atoms
+    inner = _expressions(depth - 1)
+    return st.one_of(
+        atoms,
+        st.sampled_from(["0/0", "3/0", "9" * 1001, "²", "x", "@", "", "elam(1/0)", "elam(t)"]),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " / ", ","]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("(-{})".format),
+        st.tuples(st.sampled_from(["log", "exp", "elam"]), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(st.sampled_from([-101, -3, 0, 1, 2, 100]), inner).map("li({0[0]}, {0[1]})".format),
+        st.tuples(inner, st.sampled_from(["-2", "-1", "0", "2", "3", "1001", "1/2", "t"])).map(
+            "{0[0]}^{0[1]}".format),
+    )
+
+
+_EXPRESSIONS = st.one_of(
+    _expressions(4),
+    st.integers(45, 60).map(lambda d: "(" * d + "t" + ")" * d),
+    st.integers(195, 205).map(lambda m: "+".join(["t"] * m)),
+)
+
+# Option values; the last of --k, --r, --lambda and --format, and --bogus,
+# are refused by argparse.
+_FLAGS = {
+    "--k": ["-3", "0", "1", "2", "100", "-101", "99999999", "x"],
+    "--r": ["-1", "0", "1", "2", "3", "40", "41", "1.5"],
+    "--n": ["-1", "0", "1", "3", "6", "8"],
+    "--lambda": ["symbolic", "0", "1/2", "-3", "1/0"],
+    "--format": ["text", "json", "csv", "xml"],
+    "--seed": ["0", "3", "-1"],
+    "--bogus": ["1"],
+}
+_OPTIONS = st.lists(
+    st.sampled_from([(flag, value) for flag, values in _FLAGS.items() for value in values]),
+    max_size=6, unique_by=lambda pair: pair[0],
+).map(lambda pairs: [token for pair in pairs for token in pair])
+
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["table", "poly", "frobnicate"]),
+              st.sampled_from(families.FAMILY_IDS + ("fibonacci",))),
+    st.tuples(st.just("verify"), st.sampled_from(identities.CATALOG_IDS + ("nosuch",))),
+    st.tuples(st.just("verify"), st.tuples(_EXPRESSIONS, _EXPRESSIONS).map(" == ".join)),
+    st.tuples(st.just("eval"), _EXPRESSIONS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMMANDS, _OPTIONS, st.integers(0, 6))
+def test_main_exits_zero_one_or_two_on_any_input(command, options, order):
+    name, target = command
+    argv = [name, *options, "--order", str(order), "--", target]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the usage
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    assert code != 1 or name == "verify", argv
+    if code == 2:
+        assert err.getvalue().startswith("polybern: error"), argv
+    else:
+        assert err.getvalue() == "", argv
+
+
+def test_cli_imports_no_dataclasses_or_inspect():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import polybern.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_entries_past_the_int_str_digit_limit_render(capsys):
     limit = sys.get_int_max_str_digits()
     assert cli.main(["table", "poly-bernoulli", "--k", "100", "--n", "128",
@@ -224,10 +312,6 @@ def test_table_json_round_trip():
     d = json.loads(proc.stdout)
     assert d == {"family": "daehee", "expr": None, "k": None, "r": 1, "lambda": "symbolic",
                  "rows": [[0, "1"], [1, "-1/2"], [2, "2/3"], [3, "-3/2"]]}
-    assert d == OutputRecord(
-        family="daehee", expr=None, k=None, r=1, lam="symbolic",
-        rows=((0, "1"), (1, "-1/2"), (2, "2/3"), (3, "-3/2")),
-    ).to_json_dict()
 
 
 def test_eval_json_round_trip():

@@ -282,6 +282,15 @@ def test_table_value_precision_guard():
         tbl.value(-1)
 
 
+def test_sequence_table_is_a_value():
+    tbl = families.table("daehee", 5)
+    assert len(tbl) == len(tbl.values) == 5
+    assert tbl == families.table("daehee", 5) and hash(tbl) == hash(families.table("daehee", 5))
+    assert tbl != families.table("daehee", 6)
+    assert tbl != families.SequenceTable("bernoulli", None, 1, tbl.values)
+    assert len({tbl, families.table("daehee", 5), families.table("bernoulli", 5)}) == 2
+
+
 def test_poly_constructor_precision_guard():
     with pytest.raises(PrecisionExceeded):
         families.polynomial("dpb", 5, 5, k=2)
@@ -313,6 +322,9 @@ def test_unknown_family_and_missing_k():
         families.polynomial("carlitz", 2, families.MAX_PRECISION + 1)
     assert families.table("dpb-higher", 3, k=1, r=families.MAX_R).value(0) == 1
     assert len(families.table("bernoulli", families.MAX_PRECISION)) == families.MAX_PRECISION
+    for family, k in (("dpb", 2), ("bernoulli", None), ("carlitz", None)):
+        with pytest.raises(PrecisionExceeded):
+            families.polynomial(family, -1, 4, k=k)
 
 
 def test_gf_builders_check_k_and_r():

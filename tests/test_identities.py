@@ -1,6 +1,5 @@
 """Identity catalog: pass/fail reports, witnesses, mutation sensitivity."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -28,7 +27,7 @@ from polybern.identities import (
 def perturbed(tbl: families.SequenceTable, index: int) -> families.SequenceTable:
     values = list(tbl.values)
     values[index] = values[index] + 1
-    return dataclasses.replace(tbl, values=tuple(values))
+    return families.SequenceTable(tbl.family, tbl.k, tbl.r, tuple(values))
 
 
 def eq5_tables(p: int):
@@ -125,6 +124,15 @@ def test_order_and_range_are_bounded():
         verify("thm1", order=top + 1)
     assert verify("k0", nmax=top - 2).passed
     assert verify("thm2", order=top).passed
+    # the library-only sizes of the random checks are bounded too
+    for kw, match in ((dict(n_random=0), "n_random"), (dict(n_random=-5), "n_random"),
+                      (dict(n_random=identities.MAX_RANDOM + 1), "n_random"),
+                      (dict(max_degree=-1), "max_degree"),
+                      (dict(max_degree=top - 1), "max_degree"),
+                      (dict(max_degree=400), "max_degree")):
+        with pytest.raises(PolybernError, match=match):
+            verify("thm2", **kw)
+    assert verify("thm2", n_random=1, max_degree=top - 2).passed
 
 
 def test_spec_examples_pass():

@@ -82,7 +82,18 @@ def test_unicode_lambda():
 
 
 def test_spans_do_not_affect_equality():
-    assert parse("t + 1") == parse("t   +   1")
+    x, y = parse("t + 1"), parse("t   +   1")
+    assert x.span != y.span and x == y and hash(x) == hash(y)
+    a, b = TVar(), rat(1)
+    assert Add(a, b, span=(0, 5)) == Add(a, b) and hash(Add(a, b, span=(0, 5))) == hash(Add(a, b))
+
+
+def test_nodes_compare_by_type_and_fields():
+    a, b = TVar(), rat(1)
+    assert Add(a, b) != Sub(a, b) and Mul(a, b) != Div(a, b)
+    assert RationalLit(1) != TVar() and LambdaSym() != TVar()
+    assert len({Add(a, b), Sub(a, b), Add(a, b)}) == 2
+    assert repr(Neg(PowInt(TVar(), 2))) == "Neg(PowInt(TVar(), 2))"
 
 
 # -- errors --------------------------------------------------------------------
