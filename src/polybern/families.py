@@ -205,15 +205,10 @@ def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _exp_t(precision: int) -> Series:
-    return Series.t(precision).exp()
-
-
-@lru_cache(maxsize=None)
 def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
     n = precision + 1
-    return Series.t(n).div(_exp_t(n) - 1)
+    return Series.t(n).div(Series.t(n).exp() - 1)
 
 
 @lru_cache(maxsize=None)

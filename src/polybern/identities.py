@@ -296,7 +296,7 @@ def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
     composition and division over Q."""
     n = precision + 1
     z = 1 - (-Series.t(n)).exp()
-    gf = families.polylog_series(k, n).compose(z).div(families._exp_t(n) - 1)
+    gf = families.polylog_series(k, n).compose(z).div(Series.t(n).exp() - 1)
     return _first_failure(_table_cases(tbl, gf, nmax), lam)
 
 

@@ -13,7 +13,7 @@ Grammar (standard precedence, left associativity for binary operators):
 
 A rational literal ``p/q`` binds as one token only when written without
 spaces; otherwise ``/`` is division. ``lambda`` and the single character
-``λ`` are the same token. Exponents are integer literals, possibly
+``λ`` name the same symbol. Exponents are integer literals, possibly
 negative; a negative exponent means the multiplicative inverse. A
 slash-form literal is never an integer slot: ``t^2/2`` is a syntax error
 (the lexer binds ``2/2`` first), write ``t^2 / 2``.
@@ -128,6 +128,22 @@ class Call(_Node):
     __slots__ = ()  # (name: str, args: tuple of nodes)
 
 
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+# Each binary node's symbol, precedence and series operation. The operations
+# are the operator module's, which look the method up on the operand's class
+# at each call, so a Series method patched after import is still the one run.
+_BINARY = {
+    Add: ("+", _PREC_ADD, add),
+    Sub: ("-", _PREC_ADD, sub),
+    Mul: ("*", _PREC_MUL, mul),
+    Div: ("/", _PREC_MUL, truediv),
+}
+# The parser's view of the same table: (symbol, precedence) -> node class.
+_INFIX = {(symbol, prec): kind for kind, (symbol, prec, _) in _BINARY.items()}
+_LEAVES = {"lambda": LambdaSym, "λ": LambdaSym, "t": TVar}
+
+
 # -- lexer --------------------------------------------------------------------
 
 _OPERATORS = "+-*/^(),"
@@ -172,12 +188,12 @@ def _lex(text: str) -> list[_Token]:
                 raise ExprSyntaxError(f"zero denominator in '{raw}'", start)
             tokens.append(_Token(kind, raw, start, Fraction(raw)))
             continue
-        if ch.isalpha() or ch == "λ":
+        if ch == "λ":  # one character, and a name of its own
+            tokens.append(_Token("NAME", ch, i))
+            i += 1
+            continue
+        if ch.isalpha():
             start = i
-            if ch == "λ":
-                i += 1
-                tokens.append(_Token("NAME", "lambda", start))
-                continue
             while i < n and text[i].isalpha():
                 i += 1
             word = text[start:i]
@@ -196,8 +212,8 @@ def _lex(text: str) -> list[_Token]:
 
 # -- parser -------------------------------------------------------------------
 
-# The parser recurses six frames per nested group, and _eval, render and
-# _count_divs up to two per AST level, with at most three levels per group
+# The parser recurses up to eight frames per nested group, and _eval, render
+# and _count_divs up to two per AST level, with at most three levels per group
 # and one per operator: all well inside Python's default recursion limit.
 MAX_NESTING = 50  # parenthesised groups and call arguments, one inside another
 MAX_OPERATORS = 200  # binary + - * /
@@ -210,10 +226,9 @@ MAX_EXPONENT = 1000
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _lex(text)
         self.i = 0
-        self.depth = -1  # of the expr() being parsed; the whole text is depth 0
+        self.depth = -1  # of the group() being parsed; the whole text is depth 0
         self.operators = 0
 
     def peek(self) -> _Token:
@@ -224,47 +239,42 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, expected) -> _Token:
+    def expect(self, kinds, expected) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok.kind not in kinds:
             raise ExprSyntaxError(
                 f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}",
                 tok.pos, expected)
         return self.advance()
 
-    def operator(self) -> _Token:
-        if self.operators == MAX_OPERATORS:
-            raise ExprSyntaxError(f"more than {MAX_OPERATORS} operators", self.peek().pos)
-        self.operators += 1
-        return self.advance()
-
     def parse(self) -> _Node:
-        node = self.expr()
+        node = self.group()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ExprSyntaxError("trailing input", tok.pos, {"+", "-", "*", "/", "^"})
         return node
 
-    def expr(self) -> _Node:
+    def group(self) -> _Node:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(f"more than {MAX_NESTING} nested groups", self.peek().pos)
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.operator()
-            rhs = self.term()
-            span = (node.span[0], rhs.span[1])
-            node = (Add if op.kind == "+" else Sub)(node, rhs, span=span)
+        node = self.binary(_PREC_ADD)
         self.depth -= 1
         return node
 
-    def term(self) -> _Node:
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.operator()
-            rhs = self.factor()
-            span = (node.span[0], rhs.span[1])
-            node = (Mul if op.kind == "*" else Div)(node, rhs, span=span)
+    def binary(self, prec: int) -> _Node:
+        """A left-associative chain of the operators of precedence ``prec``,
+        whose operands bind tighter."""
+        if prec > _PREC_MUL:
+            return self.factor()
+        node = self.binary(prec + 1)
+        while (kind := _INFIX.get((self.peek().kind, prec))) is not None:
+            if self.operators == MAX_OPERATORS:
+                raise ExprSyntaxError(f"more than {MAX_OPERATORS} operators", self.peek().pos)
+            self.operators += 1
+            self.advance()
+            rhs = self.binary(prec + 1)
+            node = kind(node, rhs, span=(node.span[0], rhs.span[1]))
         return node
 
     def factor(self) -> _Node:
@@ -279,79 +289,56 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            start = self.peek().pos
-            exponent, end = self.int_literal()
+            exponent, span = self.literal({"INT"}, "integer literal")
             if abs(exponent) > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}", start)
-            node = PowInt(node, exponent, span=(node.span[0], end))
+                raise ExprSyntaxError(f"exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}", span[0])
+            node = PowInt(node, int(exponent), span=(node.span[0], span[1]))
         return node
 
-    def int_literal(self) -> tuple[int, int]:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            sign = -1
-        tok = self.expect("INT", {"integer literal"})
-        return sign * tok.value.numerator, tok.pos + len(tok.text)
-
-    def rational_literal(self) -> tuple[Fraction, tuple[int, int]]:
+    def literal(self, kinds, expected: str) -> tuple[Fraction, tuple[int, int]]:
+        """An optionally negated literal token of one of ``kinds``: its value
+        and the span of its text, the sign included."""
         start = self.peek().pos
-        sign = 1
-        if self.peek().kind == "-":
+        sign = -1 if self.peek().kind == "-" else 1
+        if sign < 0:
             self.advance()
-            sign = -1
-        tok = self.peek()
-        if tok.kind not in ("INT", "RAT"):
-            raise ExprSyntaxError(
-                f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}",
-                tok.pos, {"rational literal"})
-        self.advance()
+        tok = self.expect(kinds, {expected})
         return sign * tok.value, (start, tok.pos + len(tok.text))
 
     def atom(self) -> _Node:
-        tok = self.peek()
+        tok = self.expect({"INT", "RAT", "NAME", "("},
+                          {"rational", "lambda", "t", "log", "exp", "li", "elam", "("})
+        span = (tok.pos, tok.pos + len(tok.text))
         if tok.kind in ("INT", "RAT"):
-            self.advance()
-            return RationalLit(tok.value, span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "NAME":
-            if tok.text == "lambda":
-                self.advance()
-                return LambdaSym(span=(tok.pos, tok.pos + len(tok.text)))
-            if tok.text == "t":
-                self.advance()
-                return TVar(span=(tok.pos, tok.pos + 1))
-            return self.call()
+            return RationalLit(tok.value, span=span)
+        if tok.text in _LEAVES:
+            return _LEAVES[tok.text](span=span)
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", {")"})
+            node = self.group()
+            self.expect({")"}, {")"})
             return node
-        raise ExprSyntaxError(
-            f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}",
-            tok.pos, {"rational", "lambda", "t", "log", "exp", "li", "elam", "("})
+        return self.call(tok)
 
-    def call(self) -> _Node:
-        name_tok = self.advance()
+    def call(self, name_tok: _Token) -> _Node:
         name = name_tok.text
-        self.expect("(", {"("})
+        self.expect({"("}, {"("})
         if name == "li":
-            k, k_end = self.int_literal()
+            k, span = self.literal({"INT"}, "integer literal")
             tok = self.peek()
             if tok.kind == ")":
                 raise ArityError("li takes two arguments", tok.pos, {","})
-            self.expect(",", {","})
-            args = (RationalLit(Fraction(k), span=(name_tok.pos + 3, k_end)), self.expr())
+            self.expect({","}, {","})
+            args = (RationalLit(k, span=span), self.group())
         elif name == "elam":
-            value, vspan = self.rational_literal()
-            args = (RationalLit(value, span=vspan),)
+            value, span = self.literal({"INT", "RAT"}, "rational literal")
+            args = (RationalLit(value, span=span),)
         else:
-            args = (self.expr(),)
+            args = (self.group(),)
         tok = self.peek()
         if tok.kind == ",":
             count = "two arguments" if name == "li" else "one argument"
             raise ArityError(f"{name} takes {count}", tok.pos, {")"})
-        close = self.expect(")", {")"})
+        close = self.expect({")"}, {")"})
         return Call(name, args, span=(name_tok.pos, close.pos + 1))
 
 
@@ -361,19 +348,6 @@ def parse(text: str) -> _Node:
 
 
 # -- rendering and evaluation --------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-# Each binary node's symbol, precedence and series operation. The operations
-# are the operator module's, which look the method up on the operand's class
-# at each call, so a Series method patched after import is still the one run.
-_BINARY = {
-    Add: ("+", _PREC_ADD, add),
-    Sub: ("-", _PREC_ADD, sub),
-    Mul: ("*", _PREC_MUL, mul),
-    Div: ("/", _PREC_MUL, truediv),
-}
-
 
 def _prec(node: _Node) -> int:
     kind = type(node)

@@ -25,7 +25,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "_coeffs", tuple(trim([coerce_scalar(c) for c in coeffs])))
+        self._coeffs = tuple(trim([coerce_scalar(c) for c in coeffs]))
 
     @classmethod
     def constant(cls, value) -> Polynomial:

@@ -62,7 +62,7 @@ class Series:
                 del cs[precision:]
         if not cs:
             raise PrecisionExceeded("a series needs at least one coefficient")
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        self._coeffs = tuple(cs)
 
     @classmethod
     def zero(cls, precision: int) -> Series:

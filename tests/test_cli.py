@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polybern import cli, families, identities
 
@@ -140,6 +141,9 @@ def test_eval_error_is_span_tagged():
     proc = run_cli("eval", "t + log(t)")
     assert proc.returncode == 2
     assert "offset 4..10" in proc.stderr
+    proc = run_cli("eval", "1/λ", "--order", "3")  # λ is one character
+    assert proc.returncode == 2
+    assert "at offset 0..3:" in proc.stderr
 
 
 def test_bad_usage_exits_two():
@@ -236,6 +240,7 @@ _COMMANDS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_COMMANDS, _OPTIONS, st.integers(0, 6))
+@example(("eval", "1/λ"), [], 3)  # an error span that ends at a λ
 def test_main_exits_zero_one_or_two_on_any_input(command, options, order):
     name, target = command
     argv = [name, *options, "--order", str(order), "--", target]
@@ -250,6 +255,9 @@ def test_main_exits_zero_one_or_two_on_any_input(command, options, order):
     assert code != 1 or name == "verify", argv
     if code == 2:
         assert err.getvalue().startswith("polybern: error"), argv
+        if name == "eval":  # a span lies inside the expression text
+            for a, b in re.findall(r"at offset (\d+)\.\.(\d+)", err.getvalue()):
+                assert 0 <= int(a) <= int(b) <= len(target), argv
     else:
         assert err.getvalue() == "", argv
 

@@ -81,6 +81,15 @@ def test_unicode_lambda():
     assert parse("λ^2") == parse("lambda^2")
 
 
+def test_spans_cover_source_characters():
+    # λ is one character; li's k spans its own text, the sign included
+    assert parse("1/λ").fields[1].span == (2, 3)
+    assert parse("λ + lambda").span == (0, 10)
+    assert parse("li( -2, t)").fields[1][0].span == (4, 6)
+    assert parse("li (2, t)").fields[1][0].span == (4, 5)
+    assert parse("elam( - 2/3)").fields[1][0].span == (6, 11)
+
+
 def test_spans_do_not_affect_equality():
     x, y = parse("t + 1"), parse("t   +   1")
     assert x.span != y.span and x == y and hash(x) == hash(y)
@@ -134,6 +143,45 @@ def test_syntax_error_offset_and_expected():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("t + " + "9" * 5000)  # past Python's int/str digit limit
     assert exc.value.offset == 4
+
+
+_ATOM_START = {"rational", "lambda", "t", "log", "exp", "li", "elam", "("}
+
+# Every raise site of the parser: text -> (type, message, offset, expected).
+RAISES = [
+    ("t t", ExprSyntaxError, "trailing input", 2, {"+", "-", "*", "/", "^"}),
+    ("t + )", ExprSyntaxError, "unexpected )", 4, _ATOM_START),
+    ("t *", ExprSyntaxError, "unexpected end of input", 3, _ATOM_START),
+    ("(,t)", ExprSyntaxError, "unexpected ,", 1, _ATOM_START),
+    ("log t", ExprSyntaxError, "unexpected NAME", 4, {"("}),
+    ("(t", ExprSyntaxError, "unexpected end of input", 2, {")"}),
+    ("exp(1 + t", ExprSyntaxError, "unexpected end of input", 9, {")"}),
+    ("t^t", ExprSyntaxError, "unexpected NAME", 2, {"integer literal"}),
+    ("t^1/2", ExprSyntaxError, "unexpected RAT", 2, {"integer literal"}),
+    ("t^-1001", ExprSyntaxError, "exponent outside -1000..1000", 2, set()),
+    ("elam(t)", ExprSyntaxError, "unexpected NAME", 5, {"rational literal"}),
+    ("elam(-)", ExprSyntaxError, "unexpected )", 6, {"rational literal"}),
+    ("li(2)", ArityError, "li takes two arguments", 4, {","}),
+    ("li(2 t)", ExprSyntaxError, "unexpected NAME", 5, {","}),
+    ("li(t, t)", ExprSyntaxError, "unexpected NAME", 3, {"integer literal"}),
+    ("li(2, t, t)", ArityError, "li takes two arguments", 7, {")"}),
+    ("log(t, t)", ArityError, "log takes one argument", 5, {")"}),
+    ("elam(1, 2)", ArityError, "elam takes one argument", 6, {")"}),
+    ("log(1+" * 51 + "t" + ")" * 51, ExprSyntaxError, "more than 50 nested groups", 304, set()),
+    ("(" + "+".join(["t"] * 202) + ")", ExprSyntaxError, "more than 200 operators", 402,
+     set()),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,offset,expected", RAISES,
+                         ids=[row[2] + f" @{row[3]}" for row in RAISES])
+def test_every_raise_site(text, kind, message, offset, expected):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert type(exc.value) is kind
+    assert str(exc.value).startswith(f"{message} at offset {offset}")
+    assert exc.value.offset == offset
+    assert exc.value.expected == frozenset(expected)
 
 
 def test_nesting_and_operator_count_are_bounded():
@@ -331,6 +379,10 @@ def test_eval_errors_carry_spans():
     with pytest.raises(NonUnitLeadingCoefficient) as exc:
         eval_expr(parse("1/lambda"), 6)
     assert exc.value.span == (0, 8)
+
+    with pytest.raises(NonUnitLeadingCoefficient) as exc:
+        eval_expr(parse("1/λ"), 6)
+    assert exc.value.span == (0, 3)
 
     with pytest.raises(PolybernError, match="polylog order") as exc:
         eval_expr(parse("t + li(99999999, t)"), 4)
