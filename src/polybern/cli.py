@@ -2,21 +2,22 @@
 
 Exit codes: 0 success (identity passed), 1 identity/equation failed,
 2 usage, parse or evaluation error.
+
+Each subcommand imports what only it needs (``identities`` for verify,
+``parser`` for eval and equations, ``json``/``csv`` for those formats) in
+its own body, so a light command does not pay their import. Handlers call
+through the module objects, where the benchmark's tracer patches them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 from math import factorial
 
-from . import families, identities, parser as expr
+from . import families
 from .errors import PolybernError
-from .identities import IdentityReport
 from .ring import format_scalar, lambda_eval
 
 DEFAULT_ORDER = families.DEFAULT_PRECISION
@@ -47,6 +48,9 @@ def _columns(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -55,6 +59,8 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_text(d: dict) -> str:
+    import json
+
     return json.dumps(d) + "\n"
 
 
@@ -69,7 +75,8 @@ def render_record(record: dict, fmt: str) -> str:
     return _columns(header, rows)
 
 
-def render_report(report: IdentityReport, fmt: str) -> str:
+def render_report(report, fmt: str) -> str:
+    """One ``identities.IdentityReport``."""
     if fmt == "json":
         return _json_text(report.to_json_dict())
     w = report.witness
@@ -182,10 +189,11 @@ def cmd_poly(args) -> int:
     p = families.polynomial(args.family, args.n, args.n + 1, k=args.k, r=args.r)
     if args.lam is not None:
         p = p.specialize(args.lam)
+    k, r = families._read_params(args.family, args.k, args.r)
     d = {
         "family": args.family,
-        "k": args.k,
-        "r": args.r,
+        "k": k,
+        "r": r,
         "n": args.n,
         "lambda": _lam_label(args.lam),
         "poly": str(p),
@@ -200,7 +208,9 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _verify_equation(args) -> IdentityReport:
+def _verify_equation(args):
+    from . import identities, parser as expr
+
     lhs_text, _, rhs_text = args.target.partition("==")
     if "==" in rhs_text:
         raise PolybernError("an equation has exactly one '=='")
@@ -210,10 +220,12 @@ def _verify_equation(args) -> IdentityReport:
     witness = identities._first_failure(((n, lhs[n], rhs[n]) for n in range(order)), args.lam)
     params = {"order": order, "lambda": _lam_label(args.lam)}
     status = "pass" if witness is None else "fail"
-    return IdentityReport(args.target, params, status, witness)
+    return identities.IdentityReport(args.target, params, status, witness)
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     if "==" in args.target:
         report = _verify_equation(args)
     else:
@@ -225,6 +237,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import parser as expr
+
     order = args.order if args.order is not None else DEFAULT_ORDER
     series = expr.eval_expr(expr.parse(args.expression), order)
     if args.lam is not None:

@@ -286,10 +286,10 @@ def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
 
 class _Family(NamedTuple):
     """One family id: ``gf(k, r, precision)`` calls its builder through the
-    module global; ``reads`` names which of k and r the family takes (a
-    table records k = None and r = 1 for the others); ``expression`` is its
-    expression-language text, formatted with k and r; ``poly(table, n)``
-    builds polynomial n, and is None for a family without one."""
+    module global; ``reads`` names which of k and r the family takes (see
+    ``_read_params``); ``expression`` is its expression-language text,
+    formatted with k and r; ``poly(table, n)`` builds polynomial n, and is
+    None for a family without one."""
 
     gf: Callable[[int | None, int, int], Series]
     reads: str
@@ -329,12 +329,17 @@ def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECI
     return spec
 
 
+def _read_params(family: str, k: int | None, r: int) -> tuple[int | None, int]:
+    """The k and r a valid family id reads: k = None and r = 1 for those it ignores."""
+    reads = _FAMILIES[family].reads
+    return (k if "k" in reads else None), (r if "r" in reads else 1)
+
+
 def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
           r: int = 1) -> SequenceTable:
     """The first ``precision`` entries of a family id, every bound checked."""
     spec = _validate(family, k, r, precision)
-    k = k if "k" in spec.reads else None
-    r = r if "r" in spec.reads else 1
+    k, r = _read_params(family, k, r)
     return SequenceTable(family, k, r, tuple(_values(spec.gf(k, r, precision))))
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,14 @@ from polybern.series import Series
 # checkout's src/, as pyproject's ``pythonpath`` does for pytest itself.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new ``python -S`` process that imports polybern from src/."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {_SRC!r})\n{code}"],
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 def bernoulli_oracle(count: int) -> list[Fraction]:

@@ -8,11 +8,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import fresh_python
 from polybern import cli, families, identities
 
 
@@ -263,13 +263,33 @@ def test_main_exits_zero_one_or_two_on_any_input(command, options, order):
 
 
 def test_cli_imports_no_dataclasses_or_inspect():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import polybern.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python("import polybern.cli; "
+                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_LIGHT = {"polybern", "polybern.cli", "polybern.errors", "polybern.families",
+          "polybern.polynomials", "polybern.ring", "polybern.series"}
+
+
+@pytest.mark.parametrize("argv, modules, loads_json", [
+    (None, {"polybern"}, False),
+    (["table", "daehee", "--n", "4"], _LIGHT, False),
+    (["poly", "dpb", "--k", "2", "--n", "1"], _LIGHT, False),
+    (["eval", "t/(elam(1)-1)", "--order", "3"], _LIGHT | {"polybern.parser"}, False),
+    (["verify", "remark", "--k", "2", "--r", "3", "--n", "10"],
+     _LIGHT | {"polybern.identities", "polybern.umbral"}, False),
+    (["table", "daehee", "--n", "4", "--format", "json"], _LIGHT, True),
+], ids=["import", "table", "poly", "eval", "verify", "json"])
+def test_each_subcommand_imports_only_what_it_runs(argv, modules, loads_json):
+    run = "import polybern; code = 0" if argv is None else (
+        f"from polybern import cli; code = cli.main({argv!r})")
+    proc = fresh_python(run + "\nprint(code, sorted(m for m in sys.modules if "
+                        "m.startswith('polybern')), 'json' in sys.modules, "
+                        "'csv' in sys.modules, file=sys.stderr)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"0 {sorted(modules)} {loads_json} False\n"
 
 
 def test_entries_past_the_int_str_digit_limit_render(capsys):
@@ -310,6 +330,14 @@ def test_poly_json_and_csv():
                  "lambda": "symbolic", "poly": "x - 3/4"}
     proc = run_cli("poly", "dpb", "--k", "2", "--n", "1", "--format", "csv")
     assert proc.stdout == "degree,coefficient\n0,-3/4\n1,1\n"
+    # k and r are reported as the family reads them, as table reports them
+    proc = run_cli("poly", "carlitz", "--n", "2", "--k", "5", "--r", "3", "--format", "json")
+    assert json.loads(proc.stdout) == {"family": "carlitz", "k": None, "r": 1, "n": 2,
+                                       "lambda": "symbolic",
+                                       "poly": "x^2 - x + (-1/6*lambda^2 + 1/6)"}
+    for family, r in (("dpb", 1), ("dpb-higher", 2)):
+        proc = run_cli("poly", family, "--k", "2", "--n", "2", "--r", "2", "--format", "json")
+        assert (json.loads(proc.stdout)["k"], json.loads(proc.stdout)["r"]) == (2, r)
 
 
 # -- structured formats -------------------------------------------------------------

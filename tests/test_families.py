@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polybern
-from conftest import bernoulli_oracle, divide_lists
+from conftest import bernoulli_oracle, divide_lists, fresh_python
 from polybern import families
 from polybern.errors import PolybernError, PrecisionExceeded
 from polybern.polynomials import Polynomial
@@ -345,12 +345,28 @@ def test_gf_builders_check_k_and_r():
 
 def test_every_exported_name_resolves():
     assert polybern.__all__
+    assert set(polybern.__all__) <= set(dir(polybern))
     modules = [polybern] + [importlib.import_module(f"polybern.{info.name}")
                             for info in pkgutil.iter_modules(polybern.__path__)
                             if info.name != "__main__"]
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("from polybern import *\nimport polybern\n"
+     "print([name for name in polybern.__all__ if name not in globals()])", "[]"),
+    *((f"import polybern\nprint(polybern.{name}.__name__)", f"polybern.{name}")
+      for name in ("ring", "series", "polynomials", "families", "umbral", "identities",
+                   "parser")),
+    ("import polybern\ntry:\n    polybern.nosuch\nexcept AttributeError as err:\n"
+     "    print(err)", "module 'polybern' has no attribute 'nosuch'"),
+])
+def test_lazy_package_resolves_names_on_first_use(code, expected):
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
 
 
 def test_readme_quick_tour_runs():
