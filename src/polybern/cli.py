@@ -246,8 +246,8 @@ def cmd_eval(args) -> int:
     record = {
         "family": None,
         "expr": args.expression,
-        "k": args.k,
-        "r": args.r,
+        "k": None,
+        "r": 1,
         "lambda": _lam_label(args.lam),
         "rows": [(n, format_scalar(series[n]), format_scalar(factorial(n) * series[n]))
                  for n in range(order)],

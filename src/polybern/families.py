@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
 from .ring import LambdaPoly
-from .series import Series
+from .series import Series, precision_cache
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -179,7 +178,7 @@ def check_precision(n: int, name: str = "precision", limit: int = MAX_PRECISION)
         raise PolybernError(f"{name} must satisfy {name} <= {limit}, got {n}")
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
     """(1 + lambda*t)^(c/lambda) as a series over Q[lambda].
 
@@ -194,31 +193,27 @@ def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
     return Series(coeffs)
 
 
-@lru_cache(maxsize=None)
 def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Sum over n >= 1 of x^n / n^k; for k <= 0 the weights are integers."""
     check_k(k)
-    coeffs = [Fraction(0)]
-    for n in range(1, precision):
-        coeffs.append(Fraction(1, n**k) if k >= 0 else Fraction(n ** (-k)))
-    return Series(coeffs)
+    return Series([Fraction(0)] + [Fraction(n) ** -k for n in range(1, precision)])
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
     n = precision + 1
     return Series.t(n).div(Series.t(n).exp() - 1)
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """log(1 + t)/t."""
     n = precision + 1
     return (Series.one(n) + Series.t(n)).log().div(Series.t(n))
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/((1 + lambda*t)^(1/lambda) - 1).
 
@@ -237,20 +232,20 @@ def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
     return _series(out)
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
     check_k(k)
     return _series(_kaneko(k, precision))
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
     return dpb_higher_gf(k, 1, precision)
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
     """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
     L = log(1 + lambda*t)/lambda, so its r-th power is f(L) for f =

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from . import families
 from .errors import PolybernError, PrecisionExceeded, UnknownIdentity
 from .polynomials import Polynomial
 from .ring import LambdaPoly, format_scalar, lambda_eval
-from .series import Series
+from .series import Series, precision_cache
 from .umbral import (
     bernoulli_operator,
     invariant_integral,
@@ -124,7 +123,7 @@ def _integrate_termwise(p: Polynomial, bvals: list[Fraction]) -> Polynomial:
     return acc
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def _dpb_series(k: int, precision: int) -> Series:
     """Li_k(1 - elam(-1)) / (elam(1) - 1) by series composition and division
     over Q[lambda], not by the Stirling sums of the families module."""
@@ -133,15 +132,15 @@ def _dpb_series(k: int, precision: int) -> Series:
     return families.polylog_series(k, n).compose(z).div(families.elam(1, n) - 1)
 
 
-@lru_cache(maxsize=None)
+@precision_cache
 def _a_series(k: int, precision: int) -> Series:
     """((e^t - 1)/t) * Li_k(1 - elam(-1)) / (elam(1) - 1), assembled here
     rather than taken from the families module."""
-    return _expm1_over_t(precision) * _dpb_series(k, precision)
+    return _expm1_over_t(1, precision) * _dpb_series(k, precision)
 
 
-@lru_cache(maxsize=None)
-def _expm1_over_t(precision: int, y=1) -> Series:
+@precision_cache
+def _expm1_over_t(y, precision: int) -> Series:
     """(e^(y t) - 1)/t."""
     n = precision + 1
     return ((Series.t(n) * y).exp() - 1).div(Series.t(n))
@@ -173,7 +172,7 @@ def check_eq5(dpb1: families.SequenceTable, dh: families.SequenceTable,
 def check_eq17(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
                lam=None) -> Witness | None:
     """Binomial polynomials from the table vs the product-series route."""
-    s = _a_series(k, precision) * bernoulli_operator(precision)
+    s = _a_series(k, precision) * bernoulli_operator(1, precision)
     return _first_failure(((n, families.binomial_poly(tbl, n), _poly_from_product_series(s, n))
                            for n in range(nmax + 1)), lam)
 
@@ -182,7 +181,7 @@ def check_eq18(tbl: families.SequenceTable, nmax: int, ys, lam=None) -> Witness 
     """Difference/integral identity: operator action vs explicit translate."""
     def cases():
         for y in ys:
-            op = _expm1_over_t(nmax + 2, Fraction(y))
+            op = _expm1_over_t(Fraction(y), nmax + 2)
             for n in range(nmax + 1):
                 q = families.binomial_poly(tbl, n + 1)
                 yield n, op_apply(op, families.binomial_poly(tbl, n)), (q.shift(y) - q) / (n + 1)
@@ -193,7 +192,7 @@ def check_thm3(k: int, r: int, precision: int, rng: random.Random, n_random: int
                max_degree: int, lam=None) -> Witness | None:
     a_r = _a_series(k, precision) ** r
     gf_r = families.dpb_higher_gf(k, r, precision)
-    bop_r = bernoulli_operator(precision, r)
+    bop_r = bernoulli_operator(r, precision)
     bvals = bernoulli_numbers_triangular(max_degree + 1)
 
     def cases():
@@ -213,11 +212,11 @@ def check_thm4(tbl: families.SequenceTable, k: int, r: int, nmax: int,
     a_r = _a_series(k, precision) ** r
 
     def cases():
-        s = a_r * bernoulli_operator(precision, r)
+        s = a_r * bernoulli_operator(r, precision)
         for n in range(nmax + 1):
             yield n, pair(s, Polynomial.monomial(n)), tbl.value(n)
         gf_r = families.dpb_higher_gf(k, r, precision)
-        expm1_r = _expm1_over_t(precision) ** r
+        expm1_r = _expm1_over_t(1, precision) ** r
         for i in range(n_random):
             p = _random_polynomial(rng, max_degree)
             yield i, pair(gf_r, p), invariant_integral(op_apply(a_r, p), r)
@@ -252,14 +251,7 @@ def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witnes
         f = f.specialize(lam)
         s = [p.specialize(lam) for p in s]
     failure = sheffer_failure(g, f, s, nmax)
-    if failure is None:
-        return None
-    if failure[0] == "pair":
-        _, n_bad, k_bad, got, want = failure
-        return Witness(n_bad, f"<g*f^{k_bad}|s_{n_bad}> = {format_scalar(got)}",
-                       format_scalar(want))
-    _, n_bad, got, want = failure
-    return Witness(n_bad, str(got), str(want))
+    return None if failure is None else Witness(*failure)
 
 
 def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:

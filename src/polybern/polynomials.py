@@ -93,9 +93,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        if len(self._coeffs) != len(other._coeffs):
-            return False
-        return all(a == b for a, b in zip(self._coeffs, other._coeffs))
+        return self._coeffs == other._coeffs
 
     __hash__ = None
 

@@ -9,6 +9,8 @@ LambdaPolys; the two mix freely (Q embeds into Q[lambda]).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
+from types import SimpleNamespace
 
 from .errors import (
     ConstantTermNotOne,
@@ -23,12 +25,13 @@ from .ring import (
     LambdaPoly,
     coerce_scalar,
     format_scalar,
+    format_terms,
     lambda_eval,
     mul_coeffs,
     power,
 )
 
-__all__ = ["Series", "invert_constant"]
+__all__ = ["Series", "invert_constant", "precision_cache"]
 
 
 def invert_constant(c):
@@ -99,7 +102,7 @@ class Series:
             raise PrecisionExceeded(
                 f"cannot extend a series of precision {self.precision} to {precision}"
             )
-        return Series(self._coeffs[:precision])
+        return self if precision == self.precision else Series(self._coeffs[:precision])
 
     # -- ring operations ---------------------------------------------------
 
@@ -282,28 +285,45 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.precision == other.precision and all(
-            a == b for a, b in zip(self._coeffs, other._coeffs)
-        )
+        return self._coeffs == other._coeffs
 
     __hash__ = None
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            cs = format_scalar(c)
-            if isinstance(c, LambdaPoly) and c.degree > 0:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append(f"{cs}*t")
-            else:
-                parts.append(f"{cs}*t^{i}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.precision})"
+        return f"{format_terms(self._coeffs, 't')} + O(t^{self.precision})"
 
     def __repr__(self) -> str:
         return f"Series({self})"
+
+
+def precision_cache(build):
+    """Cache a series builder whose last positional argument is the precision.
+
+    Each tuple of the other arguments keeps one series, at the largest
+    precision asked for; a smaller request is its exact ``truncate``, as
+    coefficient n of every cached builder depends on n only. Calls that
+    omit the precision, pass keywords or ask for precision < 1 are uncached.
+    """
+    entries, counts = {}, {"hits": 0, "misses": 0}
+    arity = build.__code__.co_argcount
+
+    @wraps(build)
+    def cached(*args, **kwargs):
+        if kwargs or len(args) != arity or args[-1] < 1:
+            return build(*args, **kwargs)
+        key, precision = args[:-1], args[-1]
+        entry = entries.get(key)
+        if entry is None or entry.precision < precision:
+            counts["misses"] += 1
+            entries[key] = entry = build(*args)
+        else:
+            counts["hits"] += 1
+        return entry.truncate(precision)
+
+    def cache_clear():
+        entries.clear()
+        counts.update(hits=0, misses=0)
+
+    cached.cache_info = lambda: SimpleNamespace(currsize=len(entries), **counts)
+    cached.cache_clear = cache_clear
+    return cached

@@ -10,13 +10,13 @@ B_n when r = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .series import Series, invert_constant
+from .ring import format_scalar
+from .series import Series, invert_constant, precision_cache
 
 __all__ = [
     "pair",
@@ -59,8 +59,8 @@ def op_apply(f: Series, p: Polynomial) -> Polynomial:
     return acc
 
 
-@lru_cache(maxsize=None)
-def bernoulli_operator(precision: int, r: int = 1) -> Series:
+@precision_cache
+def bernoulli_operator(r: int, precision: int) -> Series:
     """(t/(e^t - 1))^r at the given precision."""
     return families.bernoulli_gf(precision) ** r
 
@@ -69,7 +69,7 @@ def invariant_integral(p: Polynomial, r: int = 1):
     """Pairing of p against (t/(e^t - 1))^r; x^n with r = 1 gives B_n."""
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
-    return pair(bernoulli_operator(p.degree + 1, r), p)
+    return pair(bernoulli_operator(r, p.degree + 1), p)
 
 
 def _sheffer_preconditions(g: Series, f: Series):
@@ -106,11 +106,11 @@ def sheffer_regenerate(g: Series, f: Series, count: int) -> list[Polynomial]:
 
 
 def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
-    """First orthogonality or regeneration failure, or None if all pass.
+    """First failure as ``(n, lhs, rhs)`` text, or None if all pass.
 
-    Returns ("pair", n, k, got, want) when <g f^k | s_n> != n! delta_{n,k},
-    or ("regen", n, got_poly, want_poly) when the generating-series route
-    disagrees with s_n.
+    An orthogonality failure <g f^k | s_n> != n! delta_{n,k} reads
+    ("<g*f^k|s_n> = got", "want"); a regeneration failure, where the
+    generating-series route disagrees with s_n, reads (str(got), str(s_n)).
     """
     _sheffer_preconditions(g, f)
     if len(s) <= nmax:
@@ -124,11 +124,11 @@ def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
             got = pair(gfk, s[n])
             want = Fraction(factorial(n)) if n == k else Fraction(0)
             if got != want:
-                return ("pair", n, k, got, want)
+                return n, f"<g*f^{k}|s_{n}> = {format_scalar(got)}", format_scalar(want)
         if k < nmax:
             gfk = gfk * f
     regen = sheffer_regenerate(g, f, nmax + 1)
     for n in range(nmax + 1):
         if regen[n] != s[n]:
-            return ("regen", n, regen[n], s[n])
+            return n, str(regen[n]), str(s[n])
     return None

@@ -357,6 +357,14 @@ def test_eval_json_round_trip():
     assert d["rows"] == [[0, "0", "0"], [1, "1", "1"]]
 
 
+def test_eval_json_reports_k_and_r_as_unread():
+    # an expression reads neither --k nor --r, as daehee's table does not
+    proc = run_cli("eval", "t", "--order", "2", "--k", "5", "--r", "7", "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stdout == ('{"family": null, "expr": "t", "k": null, "r": 1, '
+                           '"lambda": "symbolic", "rows": [[0, "0", "0"], [1, "1", "1"]]}\n')
+
+
 def test_verify_json_schema():
     proc = run_cli("verify", "eq5", "--format", "json")
     d = json.loads(proc.stdout)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bernoulli_oracle, rand_polynomial, rand_series
+from polybern import umbral
 from polybern.errors import NotDelta, NotInvertible, PrecisionExceeded
 from polybern.polynomials import Polynomial
 from polybern.ring import LAMBDA, LambdaPoly
@@ -238,6 +239,17 @@ def test_sheffer_detects_wrong_sequence():
     s = [Polynomial.monomial(n) for n in range(7)]
     s[3] = s[3] + Polynomial.constant(1)
     assert sheffer_failure(Series.one(8), Series.t(8), s, 6) is not None
+
+
+def test_sheffer_witness_text(monkeypatch):
+    s = [Polynomial.monomial(n) for n in range(7)]
+    s[3] = s[3] + Polynomial.constant(LAMBDA)
+    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) == (3, "<g*f^0|s_3> = lambda", "0")
+    # a regeneration failure prints both polynomials
+    s = [Polynomial.monomial(n) for n in range(7)]
+    monkeypatch.setattr(umbral, "sheffer_regenerate",
+                        lambda g, f, count: s[:2] + [Polynomial([1, -2, 3])] + s[3:count])
+    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) == (2, "3*x^2 - 2*x + 1", "x^2")
 
 
 def test_sheffer_preconditions():
