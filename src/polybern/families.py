@@ -6,14 +6,14 @@ Q[lambda], and table entry n is n! times the coefficient of t^n. The
 symbolic exponent; its t^n coefficient is the product
 c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside Q[lambda].
 
-For poly-bernoulli, dpb, dpb-higher and carlitz the table is primary and
-the gf is built from it. The poly-Bernoulli table is Kaneko's finite sum,
-and since (1 + lambda*t)^(c/lambda) = e^(c*L) with
+Every table is a closed form: the poly-Bernoulli table is Kaneko's finite
+sum, bernoulli is its k = 1 case and daehee's t^n coefficient is
+(-1)^n/(n + 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L) with
 L = log(1 + lambda*t)/lambda, each degenerate gf is a classical one
-composed with L, whose table is a finite sum over the Stirling numbers of
-the first kind. No series over Q[lambda] is composed, multiplied or
-divided. The series routes these sums replace are kept in ``identities``
-as independent oracles.
+composed with L: one ``series.stirling1_transform`` of the classical
+table. The only series operations left are carlitz's one division and
+dpb-higher's ``** r``, both over Q. The series routes these sums replace
+are kept in ``identities`` as independent oracles.
 
 ``table`` and ``polynomial`` are the checked routes to every family: one
 ``_FAMILIES`` record per family id, and every bound enforced. The
@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
 from .ring import LambdaPoly
-from .series import Series, precision_cache
+from .series import Series, precision_cache, stirling1_transform
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -115,11 +115,6 @@ def _values(gf: Series) -> list:
     return [factorial(n) * c for n, c in enumerate(gf)]
 
 
-def _series(values) -> Series:
-    """The gf of a table: the t^n coefficient is values[n]/n!."""
-    return Series([v / factorial(n) for n, v in enumerate(values)])
-
-
 def _kaneko(k: int, count: int) -> list[Fraction]:
     """PB_0..PB_(count-1), the table of Li_k(1 - e^(-t))/(e^t - 1).
 
@@ -149,17 +144,6 @@ def _kaneko(k: int, count: int) -> list[Fraction]:
     return out
 
 
-def _stirling1_rows(count: int):
-    """Rows s(n, 0..n), n < count, of the signed Stirling numbers of the
-    first kind: n! [t^n] L^m = m! s(n, m) lambda^(n-m) for
-    L = log(1 + lambda*t)/lambda."""
-    row = [1]
-    for n in range(count):
-        yield row
-        # s(n+1, m) = s(n, m-1) - n s(n, m)
-        row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
-
-
 def check_k(k: int):
     """Reject a polylog order outside -MAX_ABS_K..MAX_ABS_K."""
     if abs(k) > MAX_ABS_K:
@@ -167,7 +151,9 @@ def check_k(k: int):
 
 
 def check_r(r: int):
-    """Reject a family order r above MAX_R."""
+    """Reject a family order r outside 1..MAX_R."""
+    if r < 1:
+        raise PolybernError(f"order r must be >= 1, got {r}")
     if r > MAX_R:
         raise PolybernError(f"order r must satisfy r <= {MAX_R}, got {r}")
 
@@ -201,42 +187,41 @@ def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
 
 @precision_cache
 def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
-    n = precision + 1
-    return Series.t(n).div(Series.t(n).exp() - 1)
+    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n.
+
+    Li_1(1 - e^(-t)) = t, so this is Kaneko's sum at k = 1.
+    """
+    return poly_bernoulli_gf(1, precision)
 
 
 @precision_cache
 def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """log(1 + t)/t."""
-    n = precision + 1
-    return (Series.one(n) + Series.t(n)).log().div(Series.t(n))
+    """log(1 + t)/t, whose t^n coefficient is (-1)^n/(n + 1)."""
+    return Series([Fraction((-1) ** n, n + 1) for n in range(precision)])
 
 
 @precision_cache
 def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/((1 + lambda*t)^(1/lambda) - 1).
 
-    This is (t/L) * B(L), with B = bernoulli_gf = sum_m B_m x^m/m!. Its
-    m = 0 term is t/L = G(lambda*t), where G = t/log(1 + t) = 1/daehee_gf
-    is a series over Q with table g. For m >= 1, (t/L) L^m/m! is
-    t L^(m-1)/m!, whose table entry n is (n/m) s(n-1, m-1) lambda^(n-m).
-    So entry n is g_n lambda^n + sum_(m=1..n) (n/m) s(n-1, m-1) B_m lambda^(n-m).
+    This is (t/L) * B(L), with B = bernoulli_gf, and it splits as
+    G(lambda*t) + t*F(L). The first term is t/L, with
+    G = t/log(1 + t) = 1/daehee_gf a series over Q. The second has
+    F = (B(x) - 1)/x, whose table is B_(m+1)/(m + 1), so F(L) is one
+    Stirling-1 transform.
     """
-    bern = _values(bernoulli_gf(precision))
-    g = _values(Series.one(precision).div(daehee_gf(precision)))
-    out = [g[0]]
-    for n, row in enumerate(_stirling1_rows(precision - 1), start=1):
-        out.append(LambdaPoly([n * row[m - 1] * bern[m] / m for m in range(n, 0, -1)]
-                              + [g[n]]))
-    return _series(out)
+    bern = _values(bernoulli_gf(precision + 1))
+    f = stirling1_transform([bern[m + 1] / (m + 1) for m in range(precision)])
+    g = Series.one(precision).div(daehee_gf(precision))
+    return Series([g[0]] + [g[n] * LambdaPoly.monomial(n) + f[n - 1]
+                            for n in range(1, precision)])
 
 
 @precision_cache
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
     check_k(k)
-    return _series(_kaneko(k, precision))
+    return Series([v / factorial(n) for n, v in enumerate(_kaneko(k, precision))])
 
 
 @precision_cache
@@ -248,16 +233,10 @@ def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
 @precision_cache
 def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
     """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
-    L = log(1 + lambda*t)/lambda, so its r-th power is f(L) for f =
-    poly_bernoulli_gf(k)^r, a power over Q. With c the table of f, entry n
-    of f(L) is the lambda polynomial whose lambda^(n-m) coefficient is
-    s(n, m) c_m."""
-    if r < 1:
-        raise PolybernError(f"order r must be >= 1, got {r}")
+    L = log(1 + lambda*t)/lambda, so its r-th power is the Stirling-1
+    transform of poly_bernoulli_gf(k)^r, a power over Q."""
     check_r(r)
-    c = _values(poly_bernoulli_gf(k, precision) ** r)
-    return _series(LambdaPoly([row[m] * c[m] for m in range(n, -1, -1)])
-                   for n, row in enumerate(_stirling1_rows(precision)))
+    return stirling1_transform(_values(poly_bernoulli_gf(k, precision) ** r))
 
 
 def binomial_poly(tbl: SequenceTable, n: int) -> Polynomial:
@@ -317,8 +296,6 @@ def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECI
         if k is None:
             raise PolybernError(f"family '{family}' needs a polylog order --k")
         check_k(k)
-    if r < 1:
-        raise PolybernError(f"order r must be >= 1, got {r}")
     check_r(r)
     check_precision(precision)
     return spec

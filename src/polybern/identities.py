@@ -141,9 +141,8 @@ def _a_series(k: int, precision: int) -> Series:
 
 @precision_cache
 def _expm1_over_t(y, precision: int) -> Series:
-    """(e^(y t) - 1)/t."""
-    n = precision + 1
-    return ((Series.t(n) * y).exp() - 1).div(Series.t(n))
+    """(e^(y t) - 1)/t, whose t^n coefficient is y^(n+1)/(n+1)!."""
+    return Series([Fraction(y) ** (n + 1) / factorial(n + 1) for n in range(precision)])
 
 
 def _poly_from_product_series(s: Series, n: int) -> Polynomial:
@@ -271,21 +270,26 @@ def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None
 
 
 def check_stirling1(higher: families.SequenceTable, cz: families.SequenceTable,
-                    k: int, r: int, nmax: int, precision: int,
-                    lam=None) -> Witness | None:
-    """The Stirling-sum tables against the series routes: dpb-higher against
-    the r-th power of the composed-and-divided gf, Carlitz against
-    t/(elam(1) - 1) by series division."""
+                    dh: families.SequenceTable, k: int, r: int, nmax: int,
+                    precision: int, lam=None) -> Witness | None:
+    """The Stirling-transform and closed-form tables against the series
+    routes: dpb-higher against the r-th power of the composed-and-divided
+    gf, Carlitz against t/(elam(1) - 1) by series division, and Daehee
+    against log(1 + t)/t by Series.log and division."""
     n = precision + 1
     carlitz = Series.t(n).div(families.elam(1, n) - 1)
+    daehee = (Series.one(n) + Series.t(n)).log().div(Series.t(n))
     return (_first_failure(_table_cases(higher, _dpb_series(k, precision) ** r, nmax), lam)
-            or _first_failure(_table_cases(cz, carlitz, nmax), lam))
+            or _first_failure(_table_cases(cz, carlitz, nmax), lam)
+            or _first_failure(_table_cases(dh, daehee, nmax), lam))
 
 
 def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
                  lam=None) -> Witness | None:
     """Kaneko's sum against Li_k(1 - e^(-t))/(e^t - 1) by series
-    composition and division over Q."""
+    composition and division over Q. At k = 1 the series side is
+    t/(e^t - 1) by division, the series route that bernoulli_gf's closed
+    form replaced, so this id also checks bernoulli_gf."""
     n = precision + 1
     z = 1 - (-Series.t(n)).exp()
     gf = families.polylog_series(k, n).compose(z).div(Series.t(n).exp() - 1)
@@ -339,7 +343,7 @@ _CATALOG = {
     "lambda0": _Entry(1, ("k", "nmax"), lambda a: check_lambda0(a.k, a.nmax, a.p, a.lam)),
     "stirling1": _Entry(1, ("k", "r", "nmax"), lambda a: check_stirling1(
         families.table("dpb-higher", a.p, k=a.k, r=a.r), families.table("carlitz", a.p),
-        a.k, a.r, a.nmax, a.p, a.lam)),
+        families.table("daehee", a.p), a.k, a.r, a.nmax, a.p, a.lam)),
     "kaneko": _Entry(1, ("k", "nmax"), lambda a: check_kaneko(
         families.table("poly-bernoulli", a.p, k=a.k), a.k, a.nmax, a.p, a.lam)),
 }

@@ -26,7 +26,7 @@ from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from . import families
-from .errors import PolybernError
+from .errors import PolybernError, PrecisionExceeded
 from .ring import LAMBDA, format_rational
 from .series import Series
 
@@ -435,7 +435,9 @@ def eval_expr(node: _Node, precision: int) -> Series:
 
     Each division that hits the one-t-cancellation rule costs one order, so
     evaluation runs at precision + (number of Div nodes) and truncates.
-    ``precision`` may not exceed ``families.MAX_PRECISION``.
+    ``precision`` must lie in 1..``families.MAX_PRECISION``.
     """
+    if precision < 1:
+        raise PrecisionExceeded(f"order must be >= 1, got {precision}")
     families.check_precision(precision, "order")
     return _eval(node, precision + _count_divs(node)).truncate(precision)

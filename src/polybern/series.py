@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from math import factorial
 from types import SimpleNamespace
 
 from .errors import (
@@ -31,7 +32,7 @@ from .ring import (
     power,
 )
 
-__all__ = ["Series", "invert_constant", "precision_cache"]
+__all__ = ["Series", "invert_constant", "precision_cache", "stirling1_transform"]
 
 
 def invert_constant(c):
@@ -294,6 +295,22 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self})"
+
+
+def stirling1_transform(values) -> Series:
+    """f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda, from the
+    table of f over Q (``values[m]`` is m! [x^m] f).
+
+    n! [t^n] L^m = m! s(n, m) lambda^(n-m), with s the signed Stirling
+    numbers of the first kind, so table entry n of f(L) is
+    sum_m s(n, m) values[m] lambda^(n-m). The precision is len(values).
+    """
+    out, row = [], [1]  # row n is s(n, 0..n)
+    for n in range(len(values)):
+        out.append(LambdaPoly([row[m] * values[m] for m in range(n, -1, -1)]) / factorial(n))
+        # s(n+1, m) = s(n, m-1) - n s(n, m)
+        row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
+    return Series(out)
 
 
 def precision_cache(build):

@@ -67,8 +67,7 @@ def bernoulli_operator(r: int, precision: int) -> Series:
 
 def invariant_integral(p: Polynomial, r: int = 1):
     """Pairing of p against (t/(e^t - 1))^r; x^n with r = 1 gives B_n."""
-    if r < 1:
-        raise PolybernError(f"order r must be >= 1, got {r}")
+    families.check_r(r)
     return pair(bernoulli_operator(r, p.degree + 1), p)
 
 

@@ -124,6 +124,14 @@ def test_verify_fail_exits_one_with_witness():
     )
 
 
+def test_order_below_one_is_refused_as_order(capsys):
+    for argv in (["eval", "li(2,t)", "--order", "0"], ["verify", "t==t", "--order", "0"],
+                 ["eval", "t", "--order", "-3"]):
+        assert cli.main(argv) == 2, argv
+        order = argv[-1]
+        assert capsys.readouterr() == ("", f"polybern: error: order must be >= 1, got {order}\n")
+
+
 def test_unknown_identity_exits_two():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

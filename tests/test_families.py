@@ -1,5 +1,6 @@
 """Family constructors against independent oracles and frozen values."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import polybern
 from conftest import bernoulli_oracle, divide_lists, fresh_python
-from polybern import families
+from polybern import families, identities
 from polybern.errors import PolybernError, PrecisionExceeded
 from polybern.polynomials import Polynomial
 from polybern.ring import LambdaPoly, lambda_eval
@@ -212,6 +213,22 @@ def test_poly_bernoulli_table_matches_series_assembly():
     for k in range(-3, 4):
         got = families.table("poly-bernoulli", 64, k=k).values
         assert got == series_table(series_poly_bernoulli(k, 64)), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 128])
+def test_closed_forms_equal_the_series_routes(n):
+    t = Series.t(n + 1)  # each division cancels one t
+    assert families.bernoulli_gf(n) == t.div(t.exp() - 1)
+    assert families.daehee_gf(n) == (1 + t).log().div(t)
+    for y in identities.DEFAULT_YS:
+        assert identities._expm1_over_t(y, n) == ((t * y).exp() - 1).div(t), y
+
+
+def test_families_compose_no_series_through_log_exp_or_compose():
+    tree = ast.parse(Path(families.__file__).read_text())
+    calls = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"log", "exp", "compose"}
 
 
 def test_dpb_poly_examples():

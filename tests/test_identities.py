@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bernoulli_oracle
-from polybern import families, identities
+from polybern import cli, families, identities
 from polybern.errors import PolybernError, UnknownIdentity
 from polybern.identities import (
     CATALOG_IDS,
@@ -241,16 +241,30 @@ def test_perturbed_tables_break_stirling1_and_kaneko():
     p, nmax = 10, 9
     higher = families.table("dpb-higher", p, k=2, r=2)
     cz = families.table("carlitz", p)
+    dh = families.table("daehee", p)
     pb = families.table("poly-bernoulli", p, k=-1)
-    assert check_stirling1(higher, cz, 2, 2, nmax, p) is None
+    bern = families.table("bernoulli", p)
+    assert check_stirling1(higher, cz, dh, 2, 2, nmax, p) is None
     assert check_kaneko(pb, -1, nmax, p) is None
+    assert check_kaneko(bern, 1, nmax, p) is None
     for n0 in range(nmax + 1):
-        w = check_stirling1(perturbed(higher, n0), cz, 2, 2, nmax, p)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_stirling1(higher, perturbed(cz, n0), 2, 2, nmax, p)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_kaneko(perturbed(pb, n0), -1, nmax, p)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        for tables in ((perturbed(higher, n0), cz, dh), (higher, perturbed(cz, n0), dh),
+                       (higher, cz, perturbed(dh, n0))):
+            w = check_stirling1(*tables, 2, 2, nmax, p)
+            assert w is not None and w.n == n0 and w.lhs != w.rhs
+        for tbl, k in ((perturbed(pb, n0), -1), (perturbed(bern, n0), 1)):
+            w = check_kaneko(tbl, k, nmax, p)
+            assert w is not None and w.n == n0 and w.lhs != w.rhs
+
+
+@pytest.mark.parametrize("ident", CATALOG_IDS)
+def test_every_id_refuses_an_order_r_below_one(ident, capsys):
+    for r in (0, -1):
+        message = f"order r must be >= 1, got {r}"
+        with pytest.raises(PolybernError, match=message):
+            verify(ident, r=r, nmax=2)
+        assert cli.main(["verify", ident, "--r", str(r), "--n", "2"]) == 2
+        assert capsys.readouterr() == ("", f"polybern: error: {message}\n")
 
 
 def test_perturbed_table_breaks_eq17():

@@ -24,8 +24,9 @@ from polybern.errors import (
     NotDelta,
     PrecisionExceeded,
 )
+from polybern.families import elam
 from polybern.ring import LAMBDA, LambdaPoly
-from polybern.series import Series
+from polybern.series import Series, stirling1_transform
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -335,3 +336,14 @@ def test_pow_negative_is_inverse():
     assert list(f) == [Fraction((-1) ** k) for k in range(6)]
     sq = Series([1, 1], 6) ** -2
     assert sq * Series([1, 1], 6) ** 2 == Series.one(6)
+
+
+# -- Stirling-1 transform --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 128])
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7)])
+def test_stirling1_transform_of_an_exponential_is_elam(c, n):
+    # e^(c x) has table c^m, and e^(c L) = (1 + lambda*t)^(c/lambda), which
+    # elam builds by its falling product, not by Stirling numbers
+    assert stirling1_transform([c**m for m in range(n)]) == elam(c, n)
