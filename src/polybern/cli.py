@@ -27,10 +27,11 @@ BOUNDS_TEXT = (
     f"{families.MAX_PRECISION} for table and poly; --order <= {families.MAX_PRECISION} for "
     f"eval and an 'lhs == rhs' equation; --order <= {families.MAX_CHECK_PRECISION} and "
     f"--n <= {families.MAX_CHECK_PRECISION - 2} for a catalog identity. A larger value "
-    "exits 2. The slowest runs measured at the bounds, on a 2-vCPU VM: computing the "
-    "dpb-higher table at |k| = 100, r = 40, --n 128 takes 220 s, and the series of "
-    "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 125 s; "
-    "verify remark --k 100 --r 40 --n 30 takes 20 s. The cost of eval also grows "
+    "exits 2, as does an out-of-range --k or --r that a subcommand does not read. The "
+    "slowest runs measured at the bounds, on a 2-vCPU VM: the series of "
+    "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 takes 160 s; computing the "
+    "dpb-higher table at |k| = 100, r = 40, --n 128 takes 6 s, and printing it 50 s "
+    "more; verify remark --k 100 --r 40 --n 30 takes 26 s. The cost of eval also grows "
     "with the size of the expression.")
 
 
@@ -211,6 +212,8 @@ def cmd_poly(args) -> int:
 def _verify_equation(args):
     from . import identities, parser as expr
 
+    families.check_k(args.k)  # an unread --k or --r is refused, as in table
+    families.check_r(args.r)
     lhs_text, _, rhs_text = args.target.partition("==")
     if "==" in rhs_text:
         raise PolybernError("an equation has exactly one '=='")
@@ -239,6 +242,8 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     from . import parser as expr
 
+    families.check_k(args.k)  # an unread --k or --r is refused, as in table
+    families.check_r(args.r)
     order = args.order if args.order is not None else DEFAULT_ORDER
     series = expr.eval_expr(expr.parse(args.expression), order)
     if args.lam is not None:

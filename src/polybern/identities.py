@@ -372,9 +372,10 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     families.check_precision(nmax + 2, "nmax + 2", limit)
     families.check_precision(max_degree + 2, "max_degree + 2", limit)
     if order is not None:
+        if order < 1:
+            raise PrecisionExceeded(f"order must be >= 1, got {order}")
         families.check_precision(order, "order", limit)
-    if k is not None:
-        families.check_k(k)
+    families.check_k(k)
     r = 1 if r is None else r
     families.check_r(r)
     lam = None if lam is None else Fraction(lam)

@@ -14,13 +14,17 @@ This module also owns the dense coefficient kernel that ``Polynomial``
 (Q[lambda][x]) and ``Series`` (truncated series in t) share over their
 Fraction or LambdaPoly coefficients: coefficient lists stored low degree
 first, with trimming, addition, truncated multiplication, Horner evaluation
-and powers defined once here.
+and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
+Miller's power, a quotient and the Stirling-1 transform in ``series``) runs
+on ``FractionRow``s of integers and reduces each output coefficient once;
+Q[lambda] and mixed rows keep the coefficient-by-coefficient loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -62,9 +66,38 @@ def add_coeffs(a, b) -> list:
     return out
 
 
+class FractionRow:
+    """Rationals as integer ``nums`` over ``den``, the lcm of the denominators
+    appended so far: a row that grows one coefficient at a time keeps its
+    integers as small as the coefficients read so far allow."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, values=()):
+        self.nums, self.den = [], 1
+        for q in values:
+            self.append(q)
+
+    def append(self, q):
+        d = q.denominator
+        scale = d // gcd(self.den, d)
+        if scale != 1:
+            self.nums = [c * scale for c in self.nums]
+            self.den *= scale
+        self.nums.append(q.numerator * (self.den // d))
+
+
 def mul_coeffs(a, b, n: int) -> list:
     """The first ``n`` coefficients of the product of ``a`` and ``b``;
     ``n = len(a) + len(b) - 1`` gives the full product."""
+    if all(type(c) is Fraction for c in (*a, *b)):  # an exact type test, as in _coerce
+        # coefficient k reads a[:k+1] and b[:k+1] only, so both rows grow with k
+        ra, rb, out = FractionRow(), FractionRow(), []
+        for k in range(n):
+            ra.append(a[k] if k < len(a) else _ZERO)
+            rb.append(b[k] if k < len(b) else _ZERO)
+            out.append(Fraction(sum(map(mul, ra.nums, reversed(rb.nums))), ra.den * rb.den))
+        return out
     out = [_ZERO] * n
     for i, ca in enumerate(a[:n]):
         if ca:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import factorial
+from operator import mul
 from types import SimpleNamespace
 
 from .errors import (
@@ -23,7 +23,9 @@ from .errors import (
 )
 from .ring import (
     _ZERO,
+    FractionRow,
     LambdaPoly,
+    _normalised,
     coerce_scalar,
     format_scalar,
     format_terms,
@@ -145,7 +147,10 @@ class Series:
             raise TypeError("series powers take an integer exponent")
         if n < 0:
             return Series.one(self.precision).div(self.__pow__(-n))
-        return power(self, n, Series.one(self.precision))
+        inv = invert_constant(self._coeffs[0])
+        if n < 2 or inv is None:
+            return power(self, n, Series.one(self.precision))
+        return Series(_miller_power(self._coeffs, n, inv))
 
     def div(self, other: Series) -> Series:
         """Quotient truncated to the result precision.
@@ -174,6 +179,17 @@ class Series:
                 f"divisor constant term {format_scalar(g0)} is not invertible"
             )
         out: list = []
+        if inv is not None and all(type(c) is Fraction for c in f + g):
+            # over Q: out_i = (f_i - sum_(j=1..i) g_j out_(i-j)) * inv, the sum in
+            # integers over the running denominators of g and out
+            gr, q = FractionRow(), FractionRow()
+            for a, b in zip(f, g):
+                gr.append(b)
+                d = gr.den * q.den
+                s = a.numerator * d - a.denominator * sum(map(mul, gr.nums[1:], reversed(q.nums)))
+                out.append(Fraction(s * inv.numerator, a.denominator * d * inv.denominator))
+                q.append(out[-1])
+            return Series(out)
         for i in range(n):
             acc = f[i]
             for j in range(1, i + 1):
@@ -297,6 +313,29 @@ class Series:
         return f"Series({self})"
 
 
+def _miller_power(f, r: int, inv) -> list:
+    """Coefficients of g = f^r for r >= 2 and ``inv`` = 1/f[0], by Miller's
+    recurrence g_m = (inv/m) sum_(j=1..m) ((r+1) j - m) f_j g_(m-j), from
+    f g' = r f' g (Knuth, TAOCP vol. 2, 4.7). Over Q each sum is in integers."""
+    g0 = f[0] ** r
+    if not all(type(c) is Fraction for c in f):
+        g = [g0]
+        for m in range(1, len(f)):
+            terms = [((r + 1) * j - m) * f[j] * g[m - j] for j in range(1, m + 1)
+                     if (r + 1) * j != m and f[j] and g[m - j]]
+            g.append(sum(terms, _ZERO) * (inv / m))
+        return g
+    # g_m reads f_0..f_m and g_0..g_(m-1) only, so both rows grow with m
+    fr, g, out = FractionRow(f[:1]), FractionRow([g0]), [g0]
+    for m in range(1, len(f)):
+        fr.append(f[m])
+        w = [((r + 1) * j - m) * fr.nums[j] for j in range(1, m + 1)]
+        s = sum(map(mul, w, reversed(g.nums)))
+        out.append(Fraction(s * inv.numerator, inv.denominator * fr.den * g.den * m))
+        g.append(out[-1])
+    return out
+
+
 def stirling1_transform(values) -> Series:
     """f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda, from the
     table of f over Q (``values[m]`` is m! [x^m] f).
@@ -305,9 +344,12 @@ def stirling1_transform(values) -> Series:
     numbers of the first kind, so table entry n of f(L) is
     sum_m s(n, m) values[m] lambda^(n-m). The precision is len(values).
     """
-    out, row = [], [1]  # row n is s(n, 0..n)
-    for n in range(len(values)):
-        out.append(LambdaPoly([row[m] * values[m] for m in range(n, -1, -1)]) / factorial(n))
+    v = FractionRow()  # entry n reads values[0..n] only, so v grows with n
+    out, row, fact = [], [1], 1  # row n is s(n, 0..n); fact is n!
+    for n, value in enumerate(values):
+        v.append(value)
+        out.append(_normalised([row[m] * v.nums[m] for m in range(n, -1, -1)], v.den * fact))
+        fact *= n + 1
         # s(n+1, m) = s(n, m-1) - n s(n, m)
         row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
     return Series(out)

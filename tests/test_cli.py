@@ -126,10 +126,25 @@ def test_verify_fail_exits_one_with_witness():
 
 def test_order_below_one_is_refused_as_order(capsys):
     for argv in (["eval", "li(2,t)", "--order", "0"], ["verify", "t==t", "--order", "0"],
-                 ["eval", "t", "--order", "-3"]):
+                 ["eval", "t", "--order", "-3"], ["verify", "eq5", "--order", "0"],
+                 ["verify", "eq5", "--order", "-4"]):
         assert cli.main(argv) == 2, argv
         order = argv[-1]
         assert capsys.readouterr() == ("", f"polybern: error: order must be >= 1, got {order}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "999"], "polylog order k must satisfy |k| <= 100, got 999"),
+    (["--r", "-5", "--k", "999"], "polylog order k must satisfy |k| <= 100, got 999"),
+    (["--r", "-5"], "order r must be >= 1, got -5"),
+    (["--r", "0"], "order r must be >= 1, got 0"),
+    (["--r", "41"], "order r must satisfy r <= 40, got 41"),
+])
+def test_every_subcommand_refuses_an_unread_k_or_r_out_of_range(capsys, flags, message):
+    for argv in (["eval", "t", "--order", "2"], ["verify", "t == t", "--order", "2"],
+                 ["table", "daehee", "--n", "2"], ["poly", "carlitz", "--n", "2"]):
+        assert cli.main(argv + flags) == 2, argv + flags
+        assert capsys.readouterr() == ("", f"polybern: error: {message}\n")
 
 
 def test_unknown_identity_exits_two():

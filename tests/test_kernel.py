@@ -1,0 +1,137 @@
+"""The exact series kernel (integer rows over Q, Miller's power, integer-sum
+division, the Stirling-1 transform) against the independent oracles of
+conftest, over Q, Q[lambda] and mixed rows."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import convolve, divide_lists, stirling1_reference
+from polybern.errors import NonUnitLeadingCoefficient, PrecisionExceeded
+from polybern.families import _values, dpb_higher_gf, poly_bernoulli_gf
+from polybern.polynomials import Polynomial
+from polybern.ring import LambdaPoly, power
+from polybern.series import Series, stirling1_transform
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+lambda_polys = st.lists(fractions, max_size=3).map(LambdaPoly)
+SCALARS = {"q": fractions, "lambda": lambda_polys, "mixed": st.one_of(fractions, lambda_polys)}
+EXPONENTS = [-3, -2, -1, 0, 1, 2, 3, 40]
+
+
+def rows(ring: str, min_size: int = 1, max_size: int = 7):
+    """Coefficient lists; about a quarter of them get a zero constant term."""
+    return st.tuples(st.lists(SCALARS[ring], min_size=min_size, max_size=max_size),
+                     st.booleans(), st.booleans()).map(
+        lambda x: [Fraction(0)] + x[0][1:] if x[1] and x[2] else x[0])
+
+
+def row_pairs(max_size: int = 7):
+    return st.sampled_from(sorted(SCALARS)).flatmap(
+        lambda ring: st.tuples(st.just(ring), rows(ring, max_size=max_size),
+                               rows(ring, max_size=max_size)))
+
+
+def trimmed(cs: list) -> list:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def invertible(c) -> bool:
+    return bool(c) and (not isinstance(c, LambdaPoly) or c.degree == 0)
+
+
+def assert_stays_in_q(ring: str, coeffs):
+    if ring == "q":
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_pairs())
+def test_products_match_the_convolution_oracle(case):
+    ring, a, b = case
+    n = min(len(a), len(b))
+    got = Series(a) * Series(b)
+    assert list(got) == convolve(a, b, n)
+    assert_stays_in_q(ring, got)
+    full = Polynomial(a) * Polynomial(b)
+    assert list(full.coeffs) == trimmed(convolve(a, b, len(a) + len(b) - 1))
+    assert_stays_in_q(ring, full.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(
+    st.just(ring), rows(ring, max_size=6))), st.sampled_from(EXPONENTS))
+def test_powers_match_repeated_multiplication(case, r):
+    ring, f = case
+    n = len(f)
+    positive = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for _ in range(abs(r)):
+        positive = convolve(positive, f, n)
+    if r >= 0:
+        want = positive
+    elif invertible(f[0]):
+        want = divide_lists([Fraction(1)], positive, n)
+    else:
+        with pytest.raises(NonUnitLeadingCoefficient):
+            Series(f) ** r
+        return
+    got = Series(f) ** r
+    assert list(got) == want
+    assert_stays_in_q(ring, got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_pairs())
+def test_quotients_match_long_division(case):
+    ring, f, g = case
+    n = min(len(f), len(g))
+    f, g = f[:n], g[:n]
+    if not f[0] and not g[0]:
+        f, g, n = f[1:], g[1:], n - 1  # one common factor of t cancels
+        if n == 0:
+            with pytest.raises(PrecisionExceeded):
+                Series(f + [0]).div(Series(g + [0]))
+            return
+    if not invertible(g[0]):
+        return  # a non-unit divisor takes the exact Q[lambda] route, tested in test_series
+    got = Series(case[1]).div(Series(case[2]))
+    assert list(got) == divide_lists(f, g, n)
+    assert_stays_in_q(ring, got)
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), LambdaPoly([Fraction(-2, 3)]),
+                               LambdaPoly([1, 1]), Fraction(0)])
+def test_precision_one(c):
+    f = Series([c])
+    assert list(f * f) == [c * c]
+    assert list((Polynomial([c]) * Polynomial([c])).coeffs) == trimmed([c * c])
+    for r in EXPONENTS:
+        if r >= 0:
+            assert list(f ** r) == [power(c, r, Fraction(1))]
+        elif invertible(c):
+            assert list(f ** r) == divide_lists([Fraction(1)], [power(c, -r, Fraction(1))], 1)
+        else:
+            with pytest.raises(NonUnitLeadingCoefficient):
+                f ** r
+    if invertible(c):
+        assert list(Series([Fraction(5, 7)]).div(f)) == divide_lists([Fraction(5, 7)], [c], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(fractions, st.integers(-9, 9)), min_size=1, max_size=14))
+def test_stirling1_transform_matches_the_fraction_loop(values):
+    got = stirling1_transform(values)
+    assert [list(c.coeffs) for c in got] == stirling1_reference(values)
+
+
+@pytest.mark.parametrize("r", [2, 3, 40])
+@pytest.mark.parametrize("k", [-2, 0, 2, 100])
+def test_higher_order_gf_is_the_transform_of_the_squared_power(k, r):
+    # Miller's recurrence against square-and-multiply for the same power
+    n = 24
+    plain = power(poly_bernoulli_gf(k, n), r, Series.one(n))
+    assert dpb_higher_gf(k, r, n) == stirling1_transform(_values(plain))
