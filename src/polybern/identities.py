@@ -179,11 +179,12 @@ def check_eq17(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
 def check_eq18(tbl: families.SequenceTable, nmax: int, ys, lam=None) -> Witness | None:
     """Difference/integral identity: operator action vs explicit translate."""
     def cases():
+        polys = [families.binomial_poly(tbl, n) for n in range(nmax + 2)]
         for y in ys:
             op = _expm1_over_t(Fraction(y), nmax + 2)
             for n in range(nmax + 1):
-                q = families.binomial_poly(tbl, n + 1)
-                yield n, op_apply(op, families.binomial_poly(tbl, n)), (q.shift(y) - q) / (n + 1)
+                q = polys[n + 1]
+                yield n, op_apply(op, polys[n]), (q.shift(y) - q) / (n + 1)
     return _first_failure(cases(), lam)
 
 

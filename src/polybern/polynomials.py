@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from math import comb
+from math import factorial
 
 from .ring import (
     _ZERO,
     add_coeffs,
     coerce_scalar,
+    dot,
     format_terms,
     horner,
     lambda_eval,
@@ -108,19 +109,17 @@ class Polynomial:
         return horner(self._coeffs, coerce_scalar(y))
 
     def shift(self, y) -> Polynomial:
-        """The polynomial q with q(x) = p(x + y), by binomial re-expansion."""
+        """The polynomial q with q(x) = p(x + y), by binomial re-expansion:
+        q_j = sum_n C(n, j) y^(n-j) p_n = (1/j!) sum_m (y^m/m!) (m+j)! p_(m+j),
+        one ``dot`` per coefficient over the rows y^m/m! and n! p_n."""
         y = coerce_scalar(y)
         if not y:
             return self
-        out = [_ZERO] * len(self._coeffs)
-        for n, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            yp = coerce_scalar(1)
-            for j in range(n, -1, -1):
-                out[j] = out[j] + comb(n, n - j) * yp * c
-                yp = yp * y
-        return Polynomial(out)
+        cs = [factorial(n) * c for n, c in enumerate(self._coeffs)]
+        ys = [1]
+        for m in range(1, len(cs)):
+            ys.append(ys[-1] * y / m)
+        return Polynomial([dot(ys, cs[j:]) / factorial(j) for j in range(len(cs))])
 
     def specialize(self, v) -> Polynomial:
         """Substitute lambda := v in every coefficient."""

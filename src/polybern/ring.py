@@ -16,8 +16,11 @@ Fraction or LambdaPoly coefficients: coefficient lists stored low degree
 first, with trimming, addition, truncated multiplication, Horner evaluation
 and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
 Miller's power, a quotient and the Stirling-1 transform in ``series``) runs
-on ``FractionRow``s of integers and reduces each output coefficient once;
-Q[lambda] and mixed rows keep the coefficient-by-coefficient loops.
+on ``FractionRow``s of integers and reduces each output coefficient once.
+Over Q[lambda] and mixed rows, each sum of products behind an output
+coefficient (of a product, Miller's power, a quotient, a pairing, an
+operator action or a translate) is one ``dot``: integer rows summed over a
+running common denominator and reduced once, not once per term.
 """
 
 from __future__ import annotations
@@ -87,6 +90,41 @@ class FractionRow:
         self.nums.append(q.numerator * (self.den // d))
 
 
+def dot(xs, ys):
+    """``sum_i xs[i] * ys[i]`` over Fractions, ints and LambdaPolys, summed as
+    integer rows over a running common denominator and reduced once: a
+    Fraction when every input is a Q scalar, else a LambdaPoly."""
+    acc, den, in_q = [], 1, True
+    for x, y in zip(xs, ys):
+        if type(x) is LambdaPoly:
+            a, da, in_q = x._num, x._den, False
+        else:
+            a, da = (x.numerator,) if x else (), x.denominator
+        if type(y) is LambdaPoly:
+            b, db, in_q = y._num, y._den, False
+        else:
+            b, db = (y.numerator,) if y else (), y.denominator
+        if not (a and b):
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        d = da * db
+        if den % d:
+            s = d // gcd(den, d)
+            acc = [c * s for c in acc]
+            den *= s
+        s = den // d
+        acc += [0] * (len(a) + len(b) - 1 - len(acc))
+        for i, u in enumerate(a):
+            if u:
+                u *= s
+                for j, v in enumerate(b, i):
+                    acc[j] += u * v
+    if in_q:
+        return Fraction(acc[0], den) if acc else _ZERO
+    return _normalised(acc, den)
+
+
 def mul_coeffs(a, b, n: int) -> list:
     """The first ``n`` coefficients of the product of ``a`` and ``b``;
     ``n = len(a) + len(b) - 1`` gives the full product."""
@@ -98,13 +136,8 @@ def mul_coeffs(a, b, n: int) -> list:
             rb.append(b[k] if k < len(b) else _ZERO)
             out.append(Fraction(sum(map(mul, ra.nums, reversed(rb.nums))), ra.den * rb.den))
         return out
-    out = [_ZERO] * n
-    for i, ca in enumerate(a[:n]):
-        if ca:
-            for j, cb in enumerate(b[:n - i]):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+    # coefficient k is a[lo..k] against b[k-lo..0], lo the first index b reaches
+    return [dot(a[max(0, k - len(b) + 1):k + 1], b[min(k, len(b) - 1)::-1]) for k in range(n)]
 
 
 def horner(coeffs, v):

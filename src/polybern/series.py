@@ -27,6 +27,7 @@ from .ring import (
     LambdaPoly,
     _normalised,
     coerce_scalar,
+    dot,
     format_scalar,
     format_terms,
     lambda_eval,
@@ -145,12 +146,12 @@ class Series:
     def __pow__(self, n: int) -> Series:
         if not isinstance(n, int):
             raise TypeError("series powers take an integer exponent")
+        inv = invert_constant(self._coeffs[0])
+        if inv is not None and abs(n) >= 2:
+            return Series(_miller_power(self._coeffs, n, inv))
         if n < 0:
             return Series.one(self.precision).div(self.__pow__(-n))
-        inv = invert_constant(self._coeffs[0])
-        if n < 2 or inv is None:
-            return power(self, n, Series.one(self.precision))
-        return Series(_miller_power(self._coeffs, n, inv))
+        return power(self, n, Series.one(self.precision))
 
     def div(self, other: Series) -> Series:
         """Quotient truncated to the result precision.
@@ -190,14 +191,14 @@ class Series:
                 out.append(Fraction(s * inv.numerator, a.denominator * d * inv.denominator))
                 q.append(out[-1])
             return Series(out)
+        # out_i = (f_i - sum_(j=1..i) g_j out_(i-j)) / g0 as one dot per i, with
+        # the divisor scaled by -c once: c = inv, or 1 before an exact division
+        c = 1 if inv is None else inv
+        g = [-c * b for b in g]
         for i in range(n):
-            acc = f[i]
-            for j in range(1, i + 1):
-                gj = g[j]
-                if gj:
-                    acc = acc - gj * out[i - j]
+            acc = dot((f[i], *g[1:i + 1]), (c, *reversed(out)))
             if inv is not None:
-                out.append(acc * inv)
+                out.append(acc)
             else:
                 num = acc if isinstance(acc, LambdaPoly) else LambdaPoly.constant(acc)
                 q = num.divide_exact(g0)
@@ -314,16 +315,16 @@ class Series:
 
 
 def _miller_power(f, r: int, inv) -> list:
-    """Coefficients of g = f^r for r >= 2 and ``inv`` = 1/f[0], by Miller's
-    recurrence g_m = (inv/m) sum_(j=1..m) ((r+1) j - m) f_j g_(m-j), from
-    f g' = r f' g (Knuth, TAOCP vol. 2, 4.7). Over Q each sum is in integers."""
-    g0 = f[0] ** r
+    """Coefficients of g = f^r for an integer r with |r| >= 2 and ``inv`` =
+    1/f[0], by Miller's recurrence g_m = (inv/m) sum_(j=1..m) ((r+1) j - m)
+    f_j g_(m-j), from f g' = r f' g (Knuth, TAOCP vol. 2, 4.7). Each sum is
+    reduced once: in integers over Q, by ``dot`` over Q[lambda]."""
+    g0 = f[0] ** r if r > 0 else inv ** -r  # a LambdaPoly takes no negative power
     if not all(type(c) is Fraction for c in f):
         g = [g0]
         for m in range(1, len(f)):
-            terms = [((r + 1) * j - m) * f[j] * g[m - j] for j in range(1, m + 1)
-                     if (r + 1) * j != m and f[j] and g[m - j]]
-            g.append(sum(terms, _ZERO) * (inv / m))
+            w = [((r + 1) * j - m) * f[j] for j in range(1, m + 1)]
+            g.append(dot(w, reversed(g)) * (inv / m))
         return g
     # g_m reads f_0..f_m and g_0..g_(m-1) only, so both rows grow with m
     fr, g, out = FractionRow(f[:1]), FractionRow([g0]), [g0]

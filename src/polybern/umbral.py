@@ -2,9 +2,11 @@
 
 A series f acts on polynomials two ways: as a linear functional via
 <f|p> = sum_n p_n * n! * [t^n]f, and as an operator via t^k p = p^(k).
-The measure-style integral on polynomials is realized exactly as the
-pairing against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number
-B_n when r = 1.
+Both read the row n! p_n, on which t^k is a shift by k, so a pairing and
+each coefficient of an action are one ``ring.dot``, reduced once. The
+measure-style integral on polynomials is realized exactly as the pairing
+against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number B_n when
+r = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import factorial
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import format_scalar
+from .ring import dot, format_scalar
 from .series import Series, invert_constant, precision_cache
 
 __all__ = [
@@ -36,27 +38,23 @@ def _check_precision(f: Series, p: Polynomial, what: str):
         )
 
 
+def _scaled(p: Polynomial) -> list:
+    """The row n! p_n, in which t^k acts as a shift by k."""
+    return [factorial(n) * c for n, c in enumerate(p.coeffs)]
+
+
 def pair(f: Series, p: Polynomial):
     """<f(t)|p(x)> = sum_n p_n * n! * [t^n] f."""
     _check_precision(f, p, "pairing")
-    acc = Fraction(0)
-    for n, c in enumerate(p.coeffs):
-        if c:
-            acc = acc + factorial(n) * c * f[n]
-    return acc
+    return dot(_scaled(p), f)
 
 
 def op_apply(f: Series, p: Polynomial) -> Polynomial:
-    """f(t) acting on p: sum_k ([t^k]f) * (k-th derivative of p)."""
+    """f(t) acting on p: sum_k ([t^k]f) * (k-th derivative of p), whose x^j
+    coefficient is (1/j!) sum_k f_k (j+k)! p_(j+k)."""
     _check_precision(f, p, "operator action")
-    acc = Polynomial()
-    d = p
-    for k in range(p.degree + 1):
-        c = f[k]
-        if c:
-            acc = acc + d * c
-        d = d.derivative()
-    return acc
+    cs = _scaled(p)
+    return Polynomial([dot(f, cs[j:]) / factorial(j) for j in range(len(cs))])
 
 
 @precision_cache

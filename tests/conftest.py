@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the library: plain-list
-convolution, long division and composition, and the triangular Bernoulli
-recurrence. Library results are checked against these, never against
-themselves.
+convolution, long division and composition, scalar-by-scalar sums of
+products, derivative-sum operator action, binomial translation, and the
+triangular Bernoulli recurrence. Library results are checked against these,
+never against themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 from polybern.polynomials import Polynomial
@@ -66,6 +68,37 @@ def divide_lists(f: list, g: list, n: int) -> list:
             acc = acc - gj * out[i - j]
         out.append(acc * (1 / Fraction(g[0])) if not isinstance(g[0], LambdaPoly)
                    else acc * (1 / g[0].constant_term))
+    return out
+
+
+def dot_list(xs: list, ys: list):
+    """sum_i xs[i] * ys[i], one scalar product and sum at a time."""
+    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+
+def pair_list(f: list, p: list):
+    """<f|p> = sum_n n! p_n f_n on plain coefficient lists."""
+    return sum((factorial(n) * c * f[n] for n, c in enumerate(p)), Fraction(0))
+
+
+def op_apply_list(f: list, p: list) -> list:
+    """f(t) acting on p: sum_k f_k times the k-th derivative of p, one
+    derivative and one partial sum at a time."""
+    out = [Fraction(0)] * len(p)
+    d = list(p)
+    for k in range(len(p)):
+        for i, c in enumerate(d):
+            out[i] = out[i] + f[k] * c
+        d = [i * c for i, c in enumerate(d)][1:]
+    return out
+
+
+def shift_list(p: list, y) -> list:
+    """p(x + y) by expanding every (x + y)^n binomially."""
+    out = [Fraction(0)] * len(p)
+    for n, c in enumerate(p):
+        for j in range(n + 1):
+            out[j] = out[j] + comb(n, j) * y ** (n - j) * c
     return out
 
 

@@ -1,23 +1,33 @@
 """The exact series kernel (integer rows over Q, Miller's power, integer-sum
-division, the Stirling-1 transform) against the independent oracles of
-conftest, over Q, Q[lambda] and mixed rows."""
+division, the Stirling-1 transform, and the Q[lambda] sum of products
+``ring.dot`` under pairing, operator action and translation) against the
+independent oracles of conftest, over Q, Q[lambda] and mixed rows."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import convolve, divide_lists, stirling1_reference
+from conftest import (
+    convolve,
+    divide_lists,
+    dot_list,
+    op_apply_list,
+    pair_list,
+    shift_list,
+    stirling1_reference,
+)
 from polybern.errors import NonUnitLeadingCoefficient, PrecisionExceeded
 from polybern.families import _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
-from polybern.ring import LambdaPoly, power
+from polybern.ring import LAMBDA, LambdaPoly, dot, power
 from polybern.series import Series, stirling1_transform
+from polybern.umbral import op_apply, pair
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 lambda_polys = st.lists(fractions, max_size=3).map(LambdaPoly)
 SCALARS = {"q": fractions, "lambda": lambda_polys, "mixed": st.one_of(fractions, lambda_polys)}
-EXPONENTS = [-3, -2, -1, 0, 1, 2, 3, 40]
+EXPONENTS = [-40, -3, -2, -1, 0, 1, 2, 3, 40]
 
 
 def rows(ring: str, min_size: int = 1, max_size: int = 7):
@@ -27,10 +37,10 @@ def rows(ring: str, min_size: int = 1, max_size: int = 7):
         lambda x: [Fraction(0)] + x[0][1:] if x[1] and x[2] else x[0])
 
 
-def row_pairs(max_size: int = 7):
-    return st.sampled_from(sorted(SCALARS)).flatmap(
-        lambda ring: st.tuples(st.just(ring), rows(ring, max_size=max_size),
-                               rows(ring, max_size=max_size)))
+def ring_rows(min_size: int, max_size: int, count: int = 1):
+    """A ring name and ``count`` coefficient rows over it."""
+    return st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(
+        st.just(ring), *[rows(ring, min_size, max_size)] * count))
 
 
 def trimmed(cs: list) -> list:
@@ -50,7 +60,7 @@ def assert_stays_in_q(ring: str, coeffs):
 
 
 @settings(max_examples=80, deadline=None)
-@given(row_pairs())
+@given(ring_rows(1, 7, 2))
 def test_products_match_the_convolution_oracle(case):
     ring, a, b = case
     n = min(len(a), len(b))
@@ -63,8 +73,7 @@ def test_products_match_the_convolution_oracle(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(
-    st.just(ring), rows(ring, max_size=6))), st.sampled_from(EXPONENTS))
+@given(ring_rows(1, 6), st.sampled_from(EXPONENTS))
 def test_powers_match_repeated_multiplication(case, r):
     ring, f = case
     n = len(f)
@@ -85,7 +94,7 @@ def test_powers_match_repeated_multiplication(case, r):
 
 
 @settings(max_examples=80, deadline=None)
-@given(row_pairs())
+@given(ring_rows(1, 7, 2))
 def test_quotients_match_long_division(case):
     ring, f, g = case
     n = min(len(f), len(g))
@@ -135,3 +144,70 @@ def test_higher_order_gf_is_the_transform_of_the_squared_power(k, r):
     n = 24
     plain = power(poly_bernoulli_gf(k, n), r, Series.one(n))
     assert dpb_higher_gf(k, r, n) == stirling1_transform(_values(plain))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(*[st.lists(
+    st.one_of(SCALARS[ring], st.integers(-4, 4)), max_size=6)] * 2)))
+def test_dot_matches_the_sum_of_products(case):
+    xs, ys = case
+    got = dot(xs, ys)
+    assert got == dot_list(xs, ys)
+    n = min(len(xs), len(ys))
+    in_q = not any(isinstance(c, LambdaPoly) for c in xs[:n] + ys[:n])
+    assert type(got) is (Fraction if in_q else LambdaPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_rows(0, 7), st.lists(st.one_of(fractions, lambda_polys), min_size=8, max_size=9))
+def test_pairing_and_operator_action_match_the_loops(case, f):
+    ring, p = case
+    if ring == "q":
+        f = [c if type(c) is Fraction else c.constant_term for c in f]
+    got = pair(Series(f), Polynomial(p))
+    assert got == pair_list(f, p)
+    action = op_apply(Series(f), Polynomial(p))
+    assert action == Polynomial(op_apply_list(f, p))
+    assert_stays_in_q(ring, [got, *action.coeffs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_rows(0, 7), st.one_of(fractions, lambda_polys))
+def test_shift_matches_the_binomial_expansion(case, y):
+    ring, p = case
+    got = Polynomial(p).shift(y)
+    assert got == Polynomial(shift_list(p, y))
+    if not isinstance(y, LambdaPoly):
+        assert_stays_in_q(ring, got.coeffs)
+
+
+@pytest.mark.parametrize("c", [Fraction(-1, 2), LAMBDA + 1])
+def test_a_short_series_is_refused_before_any_sum(c):
+    p, f = Polynomial([c, 0, c]), Series([c, c])
+    with pytest.raises(PrecisionExceeded, match=r"^pairing needs series precision > "
+                       r"polynomial degree \(2 <= 2\)$"):
+        pair(f, p)
+    with pytest.raises(PrecisionExceeded, match=r"^operator action needs series "
+                       r"precision > polynomial degree \(2 <= 2\)$"):
+        op_apply(f, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_rows(1, 6), st.sampled_from([-40, -3, -2, -1]))
+def test_negative_powers_equal_the_inverse_of_the_positive_power(case, r):
+    ring, f = case
+    if not invertible(f[0]):
+        return  # the texts of that route are pinned below
+    got = Series(f) ** r
+    assert got == Series.one(len(f)).div(Series(f) ** -r)
+    assert_stays_in_q(ring, got)
+
+
+@pytest.mark.parametrize("f, c0", [((0, 1), None), ((0, 0, 1), None),
+                                   ((LAMBDA, 1), LAMBDA), ((LAMBDA + 1, 1, 2), LAMBDA + 1)])
+@pytest.mark.parametrize("r", [1, 2, 3, 40])
+def test_a_non_invertible_constant_term_keeps_its_error(f, c0, r):
+    with pytest.raises(NonUnitLeadingCoefficient) as err:
+        Series(f) ** -r
+    assert str(err.value) == ("divisor constant term 0 is not invertible" if c0 is None
+                              else f"coefficient 1 is not divisible by {c0 ** r}")
