@@ -102,6 +102,11 @@ class SequenceTable:
     def __len__(self) -> int:
         return len(self.values)
 
+    precision = property(__len__)
+
+    def truncate(self, precision: int) -> SequenceTable:
+        return SequenceTable(self.family, self.k, self.r, self.values[:precision])
+
     def value(self, n: int):
         if n < 0 or n >= len(self.values):
             raise PrecisionExceeded(
@@ -309,9 +314,13 @@ def _read_params(family: str, k: int | None, r: int) -> tuple[int | None, int]:
 def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
           r: int = 1) -> SequenceTable:
     """The first ``precision`` entries of a family id, every bound checked."""
-    spec = _validate(family, k, r, precision)
-    k, r = _read_params(family, k, r)
-    return SequenceTable(family, k, r, tuple(_values(spec.gf(k, r, precision))))
+    _validate(family, k, r, precision)
+    return _table(family, *_read_params(family, k, r), precision)
+
+
+@precision_cache
+def _table(family: str, k: int | None, r: int, precision: int) -> SequenceTable:
+    return SequenceTable(family, k, r, tuple(_values(_FAMILIES[family].gf(k, r, precision))))
 
 
 def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,

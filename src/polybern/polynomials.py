@@ -1,14 +1,16 @@
-"""Polynomials in a single variable x over Q or Q[lambda]."""
+"""Polynomials in a single variable x over Q or Q[lambda], on the dense
+coefficient kernel of ``ring``; a translate is one ``ring.correlate``."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import factorial
 
 from .ring import (
     _ZERO,
     add_coeffs,
     coerce_scalar,
-    dot,
+    correlate,
     format_terms,
     horner,
     lambda_eval,
@@ -67,7 +69,8 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return self + (-other)
+        return Polynomial([a - b for a, b in zip_longest(self._coeffs, other._coeffs,
+                                                         fillvalue=_ZERO)])
 
     def __rsub__(self, other):
         return Polynomial.constant(other) + (-self)
@@ -111,15 +114,13 @@ class Polynomial:
     def shift(self, y) -> Polynomial:
         """The polynomial q with q(x) = p(x + y), by binomial re-expansion:
         q_j = sum_n C(n, j) y^(n-j) p_n = (1/j!) sum_m (y^m/m!) (m+j)! p_(m+j),
-        one ``dot`` per coefficient over the rows y^m/m! and n! p_n."""
+        one ``correlate`` of the row y^m/m! with p under the weights n!."""
         y = coerce_scalar(y)
         if not y:
             return self
-        cs = [factorial(n) * c for n, c in enumerate(self._coeffs)]
-        ys = [1]
-        for m in range(1, len(cs)):
-            ys.append(ys[-1] * y / m)
-        return Polynomial([dot(ys, cs[j:]) / factorial(j) for j in range(len(cs))])
+        fact = [factorial(n) for n in range(len(self._coeffs))]
+        ys = [1] + [y ** m / fact[m] for m in range(1, len(fact))]
+        return Polynomial(correlate(ys, self._coeffs, len(fact), fact))
 
     def specialize(self, v) -> Polynomial:
         """Substitute lambda := v in every coefficient."""

@@ -18,9 +18,11 @@ and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
 Miller's power, a quotient and the Stirling-1 transform in ``series``) runs
 on ``FractionRow``s of integers and reduces each output coefficient once.
 Over Q[lambda] and mixed rows, each sum of products behind an output
-coefficient (of a product, Miller's power, a quotient, a pairing, an
-operator action or a translate) is one ``dot``: integer rows summed over a
-running common denominator and reduced once, not once per term.
+coefficient (of a product, Miller's power, a quotient or a pairing) is one
+``dot``: integer rows summed over a running common denominator and reduced
+once, not once per term. The sliding sums of an operator action or a
+translate are one ``correlate``: the polynomial lifted to integer rows
+once, n! folded in, and each output, its divisor j! too, reduced once.
 """
 
 from __future__ import annotations
@@ -123,6 +125,41 @@ def dot(xs, ys):
     if in_q:
         return Fraction(acc[0], den) if acc else _ZERO
     return _normalised(acc, den)
+
+
+def correlate(xs, ys, count: int, weights=None) -> list:
+    """``[dot(xs, ys[j:]) for j in range(count)]``, values and result types
+    alike: ys lifted once to integer rows over one common denominator, xs
+    (whose denominators can grow along the row) over a running one as in
+    ``dot``. With positive int ``weights``, one per entry of ys and count <=
+    len(ys), output j is ``sum_k xs[k] * weights[j+k] * ys[j+k] / weights[j]``."""
+    dy = lcm(*[y._den if type(y) is LambdaPoly else y.denominator for y in ys])
+    w = [1] * max(count, len(ys)) if weights is None else weights
+    yr = [[c * (wn * (dy // y._den)) for c in y._num] if type(y) is LambdaPoly
+          else [y.numerator * (wn * (dy // y.denominator))] if y else [] for y, wn in zip(ys, w)]
+    out = []
+    for j in range(count):
+        acc, den = [], 1
+        for x, b in zip(xs, yr[j:]):
+            a, d = ((x._num, x._den) if type(x) is LambdaPoly
+                    else ((x.numerator,) if x else (), x.denominator))
+            if den % d:
+                s = d // gcd(den, d)
+                acc, den = [c * s for c in acc], den * s
+            s = den // d
+            if len(a) > len(b):
+                a, b = b, a
+            acc += [0] * (len(a) + len(b) - 1 - len(acc))
+            for i, u in enumerate(a):
+                if u:
+                    u *= s
+                    for l, v in enumerate(b, i):
+                        acc[l] += u * v
+        n = max(0, min(len(xs), len(ys) - j))  # dot(xs, ys[j:]) reads n pairs
+        den *= dy * w[j]
+        lam = any(type(v) is LambdaPoly for v in (*xs[:n], *ys[j:j + n]))
+        out.append(_normalised(acc, den) if lam else Fraction(acc[0], den) if acc else _ZERO)
+    return out
 
 
 def mul_coeffs(a, b, n: int) -> list:

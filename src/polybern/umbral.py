@@ -2,11 +2,11 @@
 
 A series f acts on polynomials two ways: as a linear functional via
 <f|p> = sum_n p_n * n! * [t^n]f, and as an operator via t^k p = p^(k).
-Both read the row n! p_n, on which t^k is a shift by k, so a pairing and
-each coefficient of an action are one ``ring.dot``, reduced once. The
-measure-style integral on polynomials is realized exactly as the pairing
-against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number B_n when
-r = 1.
+Both read the row n! p_n, on which t^k is a shift by k, so a pairing is
+one ``ring.dot`` and an action one ``ring.correlate``, p lifted to integers
+once and each output reduced once. The measure-style integral on
+polynomials is realized exactly as the pairing against (t/(e^t - 1))^r,
+which takes x^n to the Bernoulli number B_n when r = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import factorial
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import dot, format_scalar
+from .ring import correlate, dot, format_scalar
 from .series import Series, invert_constant, precision_cache
 
 __all__ = [
@@ -53,8 +53,8 @@ def op_apply(f: Series, p: Polynomial) -> Polynomial:
     """f(t) acting on p: sum_k ([t^k]f) * (k-th derivative of p), whose x^j
     coefficient is (1/j!) sum_k f_k (j+k)! p_(j+k)."""
     _check_precision(f, p, "operator action")
-    cs = _scaled(p)
-    return Polynomial([dot(f, cs[j:]) / factorial(j) for j in range(len(cs))])
+    fact = [factorial(n) for n in range(len(p.coeffs))]
+    return Polynomial(correlate(f.coeffs, p.coeffs, len(fact), fact))
 
 
 @precision_cache
@@ -115,10 +115,12 @@ def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
     for n in range(nmax + 1):
         if s[n].degree != n:
             raise PolybernError(f"s_{n} must have degree {n}, got {s[n].degree}")
+    rows = [_scaled(p) for p in s[:nmax + 1]]
     gfk = g
     for k in range(nmax + 1):
         for n in range(nmax + 1):
-            got = pair(gfk, s[n])
+            _check_precision(gfk, s[n], "pairing")
+            got = dot(rows[n], gfk)
             want = Fraction(factorial(n)) if n == k else Fraction(0)
             if got != want:
                 return n, f"<g*f^{k}|s_{n}> = {format_scalar(got)}", format_scalar(want)

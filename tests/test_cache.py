@@ -22,6 +22,7 @@ BUILDERS = [
     (families, "poly_bernoulli_gf", (3,)),
     (families, "dpb_gf", (-2,)),
     (families, "dpb_higher_gf", (2, 3)),
+    (families, "_table", ("dpb-higher", 2, 3)),
     (umbral, "bernoulli_operator", (2,)),
     (identities, "_dpb_series", (2,)),
     (identities, "_a_series", (-1,)),
@@ -80,6 +81,10 @@ def test_one_entry_per_key_across_catalog_orders(monkeypatch):
     sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
     assert sizes == {name: len(keys.get(name, ())) for name in caches}
     assert keys["polybern.families", "dpb_higher_gf"] == {(2, 1), (1, 1), (0, 1)}  # eq5, k0
+    # a table is keyed by the k and r its family reads, never by the order
+    assert keys["polybern.families", "_table"] == {
+        ("dpb", 2, 1), ("dpb", 1, 1), ("dpb", 0, 1), ("dpb-higher", 2, 1),
+        ("daehee", None, 1), ("carlitz", None, 1), ("poly-bernoulli", 2, 1)}
 
 
 def test_smaller_requests_hit_and_larger_rebuild():
@@ -96,6 +101,17 @@ def test_smaller_requests_hit_and_larger_rebuild():
     build.cache_clear()
     info = build.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_a_table_is_cached_under_the_k_and_r_its_family_reads():
+    _clear_caches()
+    tbl = families.table("bernoulli", 8, k=3, r=2)
+    assert (tbl.k, tbl.r) == (None, 1)
+    assert families.table("bernoulli", 8) == tbl
+    assert families.table("dpb", 5, k=2, r=3) == families.table("dpb", 8, k=2).truncate(5)
+    assert families.table("dpb", 5, k=2).k == 2
+    info = families._table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 2)
 
 
 def test_bypass_calls_are_uncached_and_leave_the_cache_alone():

@@ -1,9 +1,11 @@
 """The exact series kernel (integer rows over Q, Miller's power, integer-sum
-division, the Stirling-1 transform, and the Q[lambda] sum of products
-``ring.dot`` under pairing, operator action and translation) against the
-independent oracles of conftest, over Q, Q[lambda] and mixed rows."""
+division, the Stirling-1 transform, the Q[lambda] sum of products
+``ring.dot`` under pairing, and its sliding form ``ring.correlate`` under
+operator action and translation) against the independent oracles of
+conftest, over Q, Q[lambda] and mixed rows."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +22,19 @@ from conftest import (
 from polybern.errors import NonUnitLeadingCoefficient, PrecisionExceeded
 from polybern.families import _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
-from polybern.ring import LAMBDA, LambdaPoly, dot, power
+from polybern.ring import LAMBDA, LambdaPoly, correlate, dot, power
 from polybern.series import Series, stirling1_transform
-from polybern.umbral import op_apply, pair
+from polybern.umbral import op_apply, pair, sheffer_failure
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 lambda_polys = st.lists(fractions, max_size=3).map(LambdaPoly)
 SCALARS = {"q": fractions, "lambda": lambda_polys, "mixed": st.one_of(fractions, lambda_polys)}
+# denominators from 1 to beyond 2^80, so the common denominator of a row
+# is far from each of its entries
+wide = st.builds(Fraction, st.integers(-10**6, 10**6),
+                 st.sampled_from([1, 2, 7, 3**20, 2**61, 10**25]))
+WIDE = {"q": wide, "lambda": st.lists(wide, max_size=3).map(LambdaPoly)}
+WIDE["mixed"] = st.one_of(WIDE["q"], WIDE["lambda"], st.integers(-4, 4))
 EXPONENTS = [-40, -3, -2, -1, 0, 1, 2, 3, 40]
 
 
@@ -179,6 +187,76 @@ def test_shift_matches_the_binomial_expansion(case, y):
     assert got == Polynomial(shift_list(p, y))
     if not isinstance(y, LambdaPoly):
         assert_stays_in_q(ring, got.coeffs)
+
+
+def exact(values) -> list:
+    """Each value with its type, so that 1 and LambdaPoly 1 differ."""
+    return [(type(v), v) for v in values]
+
+
+def factorials(n: int) -> list:
+    return [factorial(m) for m in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(*[st.lists(
+    st.one_of(SCALARS[ring], WIDE[ring], st.just(LambdaPoly())), max_size=7)] * 2)),
+    st.integers(0, 9))
+def test_correlate_is_the_sliding_dot(case, count):
+    xs, ys = case
+    assert exact(correlate(xs, ys, count)) == exact(
+        [dot(xs, ys[j:]) for j in range(count)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(
+    st.lists(st.one_of(SCALARS[ring], WIDE[ring]), min_size=8, max_size=8),
+    st.lists(st.one_of(SCALARS[ring], WIDE[ring]), max_size=8),
+    st.one_of(SCALARS[ring], WIDE[ring]))))
+def test_factorial_weights_give_operator_action_and_translate(case):
+    f, p, y = case
+    n = len(p)
+    got = correlate(f, p, n, factorials(n))
+    assert got == op_apply_list(f, p)
+    scaled = [factorial(m) * c for m, c in enumerate(p)]
+    assert exact(got) == exact([dot(f, scaled[j:]) / factorial(j) for j in range(n)])
+    ys = [Fraction(1)]
+    for m in range(1, n):
+        ys.append(ys[-1] * y / m)
+    assert correlate(ys, p, n, factorials(n)) == shift_list(p, y)
+
+
+@pytest.mark.parametrize("p", [[], [Fraction(3, 4)], [LambdaPoly([0, 2])], [LambdaPoly()],
+                               [Fraction(0), LambdaPoly(), Fraction(5)]])
+def test_correlate_takes_empty_and_degree_zero_rows(p):
+    f = [LAMBDA, Fraction(1, 3), Fraction(2)]
+    assert exact(correlate(f, p, len(p))) == exact([dot(f, p[j:]) for j in range(len(p))])
+    scaled = [factorial(n) * c for n, c in enumerate(p)]
+    assert exact(correlate(f, p, len(p), factorials(len(p)))) == exact(
+        [dot(f, scaled[j:]) / factorial(j) for j in range(len(p))])
+
+
+def test_a_q_window_stays_in_q_after_a_later_lambda_entry():
+    # output j reads f[0..deg-j] only; the top coefficient never meets f[1]
+    f = Series([Fraction(2), LAMBDA, Fraction(1, 2), Fraction(0)])
+    p = Polynomial([Fraction(1), Fraction(-1, 3), Fraction(5, 7)])
+    got = op_apply(f, p)
+    assert [type(c) for c in got.coeffs] == [LambdaPoly, LambdaPoly, Fraction]
+    assert got == Polynomial(op_apply_list(list(f), list(p.coeffs)))
+    assert exact(correlate([Fraction(1), LAMBDA], [Fraction(2), Fraction(3)], 2)) == exact(
+        [LambdaPoly([2, 3]), Fraction(3)])
+    # a zero LambdaPoly in the window still makes the output a LambdaPoly, as in dot
+    assert exact(correlate([Fraction(1), LambdaPoly()], [Fraction(2), Fraction(3)], 2)) == exact(
+        [LambdaPoly([2]), Fraction(3)])
+    shifted = Polynomial([Fraction(1), Fraction(2)]).shift(LAMBDA)
+    assert [type(c) for c in shifted.coeffs] == [LambdaPoly, Fraction]
+
+
+def test_the_sheffer_check_keeps_the_pairing_precision_error():
+    s = [Polynomial.monomial(n) for n in range(5)]
+    with pytest.raises(PrecisionExceeded, match=r"^pairing needs series precision > "
+                       r"polynomial degree \(3 <= 3\)$"):
+        sheffer_failure(Series.one(3), Series.t(6), s, 4)
 
 
 @pytest.mark.parametrize("c", [Fraction(-1, 2), LAMBDA + 1])

@@ -281,3 +281,15 @@ def test_polynomial_mul_and_eval():
     assert p * p == Polynomial([1, 2, 1])
     assert (p * p)(3) == 16
     assert Polynomial([LAMBDA, 1])(Fraction(1, 2)) == LAMBDA + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 2], [Fraction(1, 2), LAMBDA, 3]),
+    ([LAMBDA, 0, Fraction(1, 3)], [1]),
+    ([Fraction(2), LambdaPoly([5])], [Fraction(2), LambdaPoly([5])]),
+    ([], [LambdaPoly([0, 1]), Fraction(-1)]),
+])
+def test_polynomial_difference_is_the_sum_with_the_negation(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    for got, want in ((p - q, p + (-q)), (q - p, q + (-p)), (p - 3, p + Polynomial([-3]))):
+        assert [(type(c), c) for c in got.coeffs] == [(type(c), c) for c in want.coeffs]
