@@ -28,11 +28,11 @@ BOUNDS_TEXT = (
     f"eval and an 'lhs == rhs' equation; --order <= {families.MAX_CHECK_PRECISION} and "
     f"--n <= {families.MAX_CHECK_PRECISION - 2} for a catalog identity. A larger value "
     "exits 2, as does an out-of-range --k or --r that a subcommand does not read. The "
-    "slowest runs measured at the bounds, on a 2-vCPU VM: the series of "
-    "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 takes 160 s; computing the "
-    "dpb-higher table at |k| = 100, r = 40, --n 128 takes 6 s, and printing it 50 s "
-    "more; verify remark --k 100 --r 40 --n 30 takes 26 s. The cost of eval also grows "
-    "with the size of the expression.")
+    "slowest runs measured at the bounds, on a 2-vCPU VM: "
+    "eval \"li(100,1-elam(-1))/(elam(1)-1)\" --order 128 takes 8 min; computing the "
+    "dpb-higher table at |k| = 100, r = 40, --n 128 takes 9 s, and printing it 50 s "
+    "more; verify sheffer23 --k 100 --r 40 --n 30 takes 7 s, and remark 6 s. The cost "
+    "of eval also grows with the size of the expression.")
 
 
 def _columns(header: list[str], rows: list[list[str]]) -> str:

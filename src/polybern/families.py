@@ -62,7 +62,7 @@ DEFAULT_PRECISION = 32
 # Largest |k| accepted for the polylog order. Table entries carry
 # (m + 1)^|k| for every m below the precision, so their size grows with |k|
 # and an unbounded k never finishes; at |k| = 100 a 64-entry dpb-higher
-# table of order 40 takes about 0.5 s on a 2-vCPU VM, a 128-entry one 6 s.
+# table of order 40 takes about 0.6 s on a 2-vCPU VM, a 128-entry one 9 s.
 MAX_ABS_K = 100
 
 # Largest order r of the higher-order families and identities. The order-r

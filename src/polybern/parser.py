@@ -213,15 +213,19 @@ def _lex(text: str) -> list[_Token]:
 # -- parser -------------------------------------------------------------------
 
 # The parser recurses up to eight frames per nested group, and _eval, render
-# and _count_divs up to two per AST level, with at most three levels per group
+# and _padding up to two per AST level, with at most three levels per group
 # and one per operator: all well inside Python's default recursion limit.
 MAX_NESTING = 50  # parenthesised groups and call arguments, one inside another
 MAX_OPERATORS = 200  # binary + - * /
 # Largest |exponent| after '^'. A power with an invertible constant term is
 # one pass of Miller's recurrence, others two series products per bit of the
 # exponent, and the coefficients grow with it: on a 2-vCPU VM elam(1)^1000
-# takes 0.03 s at order 32 and 4.3 s at order 128, elam(-1)^-1000 10 s.
+# takes 0.01 s at order 32 and 4 s at order 128, as does elam(-1)^-1000.
 MAX_EXPONENT = 1000
+# Largest count of divisions one inside another. Each raises the working
+# precision of eval by one order, as it may cancel a factor of t; the
+# paper's gfs are one quotient each.
+MAX_DIVISION_DEPTH = 8
 
 
 class _Parser:
@@ -385,14 +389,17 @@ def render(node: _Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _count_divs(node: _Node) -> int:
-    count = int(type(node) is Div)
-    for field in node.fields:
-        if isinstance(field, _Node):
-            count += _count_divs(field)
-        elif isinstance(field, tuple):
-            count += sum(map(_count_divs, field))
-    return count
+def _padding(node: _Node) -> int:
+    """The most Div nodes on one path from ``node`` down to a leaf. The first
+    Div, from below, past ``MAX_DIVISION_DEPTH`` of them is refused."""
+    children = [c for f in node.fields for c in (f if isinstance(f, tuple) else (f,))]
+    pad = (type(node) is Div) + max(
+        (_padding(c) for c in children if isinstance(c, _Node)), default=0)
+    if pad > MAX_DIVISION_DEPTH:  # only at a Div, as no child passes it
+        err = PrecisionExceeded(f"more than {MAX_DIVISION_DEPTH} divisions one inside another")
+        err.span = node.span
+        raise err
+    return pad
 
 
 def _eval(node: _Node, n: int) -> Series:
@@ -433,11 +440,12 @@ def _eval(node: _Node, n: int) -> Series:
 def eval_expr(node: _Node, precision: int) -> Series:
     """Exact series of the expression, with exactly ``precision`` coefficients.
 
-    Each division that hits the one-t-cancellation rule costs one order, so
-    evaluation runs at precision + (number of Div nodes) and truncates.
+    Each division that hits the one-t-cancellation rule costs one order on
+    its path to the root, so evaluation runs at precision + (most Div nodes
+    on one path, at most ``MAX_DIVISION_DEPTH``) and truncates.
     ``precision`` must lie in 1..``families.MAX_PRECISION``.
     """
     if precision < 1:
         raise PrecisionExceeded(f"order must be >= 1, got {precision}")
     families.check_precision(precision, "order")
-    return _eval(node, precision + _count_divs(node)).truncate(precision)
+    return _eval(node, precision + _padding(node)).truncate(precision)

@@ -87,19 +87,11 @@ def sheffer_regenerate(g: Series, f: Series, count: int) -> list[Polynomial]:
         raise PrecisionExceeded("not enough series precision to regenerate")
     fbar = f.revert()
     h = Series.one(g.precision).div(g.compose(fbar))
-    rows = []
-    cur = h
-    for m in range(count):
-        rows.append(cur)
-        if m + 1 < count:
-            cur = cur * fbar
-    polys = []
-    for n in range(count):
-        coeffs = [
-            Fraction(factorial(n), factorial(m)) * rows[m][n] for m in range(n + 1)
-        ]
-        polys.append(Polynomial(coeffs))
-    return polys
+    rows = [h]  # row m is h * fbar^m
+    for _ in range(1, count):
+        rows.append(rows[-1] * fbar)
+    return [Polynomial([Fraction(factorial(n), factorial(m)) * rows[m][n] for m in range(n + 1)])
+            for n in range(count)]
 
 
 def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):

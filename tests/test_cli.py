@@ -3,11 +3,13 @@
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -167,6 +169,24 @@ def test_eval_error_is_span_tagged():
     proc = run_cli("eval", "1/λ", "--order", "3")  # λ is one character
     assert proc.returncode == 2
     assert "at offset 0..3:" in proc.stderr
+    # more nested divisions than the bound, refused before any evaluation
+    proc = run_cli("eval", "li(2,1-elam(-1))" + "/1" * 199, "--order", "128")
+    assert proc.returncode == 2
+    assert "at offset 0..52: more than 8 divisions" in proc.stderr
+
+
+def test_readme_command_line_transcripts():
+    """Each ``$ polybern ...`` transcript of README's "Command line" section,
+    run in-process, prints what README shows and exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    transcripts = re.findall(r"^\$ polybern (.*)\n((?:(?!```).+\n)*)", section, re.M)
+    assert transcripts and len(transcripts) == section.count("$ polybern ")
+    for command, expected in transcripts:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(shlex.split(command)) == 0, command
+        assert out.getvalue() == expected, command
 
 
 def test_bad_usage_exits_two():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bernoulli_oracle
-from polybern import cli, families, identities
+from polybern import cli, families, identities, series
 from polybern.errors import PolybernError, UnknownIdentity
 from polybern.identities import (
     CATALOG_IDS,
@@ -216,10 +216,24 @@ def test_perturbed_dpb1_breaks_eq5_with_correct_witness():
 
 def test_perturbed_base_table_breaks_remark():
     base = families.table("dpb", 9, k=2)
-    higher = families.table("dpb-higher", 9, k=2, r=2)
-    for n0 in range(8):
-        w = check_remark(higher, perturbed(base, n0), 2, 8)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+    # r = 3 takes a square and a multiply, r = 40 five squarings and a multiply
+    for r in (2, 3, 40):
+        higher = families.table("dpb-higher", 9, k=2, r=r)
+        for n0 in range(8):
+            w = check_remark(higher, perturbed(base, n0), r, 8)
+            assert w is not None and w.n == n0 and w.lhs != w.rhs, (r, n0)
+
+
+def test_remark_right_side_does_not_use_millers_power(monkeypatch):
+    tables = [(families.table("dpb-higher", 11, k=k, r=r), families.table("dpb", 11, k=k), r)
+              for k in (-2, 3) for r in (2, 3, 40)]
+
+    def refuse(*args):
+        raise AssertionError("Miller's power is the production route")
+
+    monkeypatch.setattr(series, "_miller_power", refuse)
+    for higher, base, r in tables:
+        assert check_remark(higher, base, r, 10) is None
 
 
 def test_perturbed_higher_table_breaks_remark_and_thm4():

@@ -12,6 +12,7 @@ from polybern.errors import (
     NonUnitLeadingCoefficient,
     NonzeroInnerConstant,
     PolybernError,
+    PrecisionExceeded,
 )
 from polybern.parser import (
     Add,
@@ -20,6 +21,7 @@ from polybern.parser import (
     Div,
     ExprSyntaxError,
     LambdaSym,
+    MAX_DIVISION_DEPTH,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_OPERATORS,
@@ -399,3 +401,21 @@ def test_eval_order_is_bounded():
     assert eval_expr(parse("exp(t)"), top)[top - 1] == Fraction(1, factorial(top - 1))
     with pytest.raises(PolybernError, match="order"):
         eval_expr(parse("exp(t)"), top + 1)
+
+
+def test_division_depth_is_bounded():
+    d = MAX_DIVISION_DEPTH
+    # d nested divisions that each cancel a t need d orders of padding
+    for order in (1, 4, families.MAX_PRECISION):
+        assert eval_expr(parse(f"t^{d}" + "/t" * d), order) == Series.one(order)
+    # the padding is counted on one path, so side-by-side quotients pass
+    assert eval_expr(parse("+".join(["t/t"] * (d + 1))), 2) == Series.constant(d + 1, 2)
+    # the lowest division past the bound is named, before anything is evaluated;
+    # "/1/1" is a division by the literal 1/1
+    chain = "li(2,1-elam(-1))" + "/1" * 199
+    deep = f"t^{d + 1}" + "/t" * (d + 1)
+    for text, span in ((deep, (0, len(deep))), (chain, (0, 16 + 4 * (d + 1)))):
+        for order in (1, 32, families.MAX_PRECISION):
+            with pytest.raises(PrecisionExceeded, match="divisions one inside another") as exc:
+                eval_expr(parse(text), order)
+            assert exc.value.span == span
