@@ -6,10 +6,10 @@ Q[lambda], and table entry n is n! times the coefficient of t^n. The
 symbolic exponent; its t^n coefficient is the product
 c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside Q[lambda].
 
-Every table is a closed form: the poly-Bernoulli table is Kaneko's finite
-sum, bernoulli is its k = 1 case and daehee's t^n coefficient is
-(-1)^n/(n + 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L) with
-L = log(1 + lambda*t)/lambda, each degenerate gf is a classical one
+Every table is a closed form: bernoulli is built from tangent numbers, the
+poly-Bernoulli table is Kaneko's finite sum (bernoulli at k = 1) and
+daehee's t^n coefficient is (-1)^n/(n + 1). Since (1 + lambda*t)^(c/lambda)
+= e^(c*L) with L = log(1 + lambda*t)/lambda, each degenerate gf is a classical one
 composed with L: one ``series.stirling1_transform`` of the classical
 table. The only series operations left are carlitz's one division and
 dpb-higher's ``** r``, both over Q. The series routes these sums replace
@@ -194,9 +194,22 @@ def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
 def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/(e^t - 1); entry n of the table is the Bernoulli number B_n.
 
-    Li_1(1 - e^(-t)) = t, so this is Kaneko's sum at k = 1.
+    From the tangent numbers T_n, built in place by integer multiply-adds by
+    small ints (Brent and Harvey, 2013): B_2n = (-1)^(n-1) 2n T_n/(4^n (4^n - 1)),
+    so [t^2n] is (-1)^(n-1) T_n/(4^n (4^n - 1) (2n-1)!), one reduction each.
     """
-    return poly_bernoulli_gf(1, precision)
+    m = (precision - 1) // 2
+    tan = [0, 1] + [0] * (m - 1)  # tan[j] = T_j for j = 1..m
+    for k in range(2, m + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    coeffs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (precision - 2)
+    for n in range(1, m + 1):
+        coeffs[2 * n] = Fraction((-1) ** (n - 1) * tan[n],
+                                 4 ** n * (4 ** n - 1) * factorial(2 * n - 1))
+    return Series(coeffs[:precision])
 
 
 @precision_cache
@@ -224,8 +237,11 @@ def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
 
 @precision_cache
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum."""
+    """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum; at k = 1,
+    where Li_1(1 - e^(-t)) = t, it is bernoulli_gf."""
     check_k(k)
+    if k == 1:
+        return bernoulli_gf(precision)
     return Series([v / factorial(n) for n, v in enumerate(_kaneko(k, precision))])
 
 

@@ -261,7 +261,8 @@ def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
 
 def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
     """lambda -> 0 specialization of the series-route gf agrees with the
-    classical gf coefficients (Kaneko's sum, in the families module)."""
+    classical gf coefficients (Kaneko's sum, or at k = 1 the tangent numbers,
+    in the families module)."""
     if nmax >= precision:
         raise PrecisionExceeded(f"n = {nmax} exceeds precision {precision}")
     degen = _dpb_series(k, precision).specialize(0)
@@ -289,7 +290,8 @@ def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
     """Kaneko's sum against Li_k(1 - e^(-t))/(e^t - 1) by series
     composition and division over Q. At k = 1 the series side is
     t/(e^t - 1) by division, the series route that bernoulli_gf's closed
-    form replaced, so this id also checks bernoulli_gf."""
+    form, from tangent numbers, replaced; the k = 1 table is
+    bernoulli_gf's, so this id also checks it."""
     n = precision + 1
     z = 1 - (-Series.t(n)).exp()
     gf = families.polylog_series(k, n).compose(z).div(Series.t(n).exp() - 1)

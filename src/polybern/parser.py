@@ -222,9 +222,9 @@ MAX_OPERATORS = 200  # binary + - * /
 # exponent, and the coefficients grow with it: on a 2-vCPU VM elam(1)^1000
 # takes 0.01 s at order 32 and 4 s at order 128, as does elam(-1)^-1000.
 MAX_EXPONENT = 1000
-# Largest count of divisions one inside another. Each raises the working
-# precision of eval by one order, as it may cancel a factor of t; the
-# paper's gfs are one quotient each.
+# Largest count of divisions by a series that varies with t, one inside
+# another. Each raises the working precision of eval by one order, as it may
+# cancel a factor of t; the paper's gfs are one quotient each.
 MAX_DIVISION_DEPTH = 8
 
 
@@ -389,17 +389,21 @@ def render(node: _Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _padding(node: _Node) -> int:
-    """The most Div nodes on one path from ``node`` down to a leaf. The first
-    Div, from below, past ``MAX_DIVISION_DEPTH`` of them is refused."""
-    children = [c for f in node.fields for c in (f if isinstance(f, tuple) else (f,))]
-    pad = (type(node) is Div) + max(
-        (_padding(c) for c in children if isinstance(c, _Node)), default=0)
+def _padding(node: _Node) -> tuple[int, bool]:
+    """``(pad, varies)``: ``varies`` when ``node`` holds a ``t`` leaf or an
+    ``elam`` call, and ``pad`` the most Div nodes by such a divisor on one
+    path from ``node`` down to a leaf; any other divisor is a constant series.
+    The first counted Div, from below, past ``MAX_DIVISION_DEPTH`` is refused."""
+    kind = type(node)
+    subs = [_padding(c) for f in node.fields
+            for c in (f if isinstance(f, tuple) else (f,)) if isinstance(c, _Node)]
+    pad = (kind is Div and subs[1][1]) + max((p for p, _ in subs), default=0)
     if pad > MAX_DIVISION_DEPTH:  # only at a Div, as no child passes it
         err = PrecisionExceeded(f"more than {MAX_DIVISION_DEPTH} divisions one inside another")
         err.span = node.span
         raise err
-    return pad
+    varies = kind is TVar or (kind is Call and node.fields[0] == "elam")
+    return pad, varies or any(v for _, v in subs)
 
 
 def _eval(node: _Node, n: int) -> Series:
@@ -440,12 +444,13 @@ def _eval(node: _Node, n: int) -> Series:
 def eval_expr(node: _Node, precision: int) -> Series:
     """Exact series of the expression, with exactly ``precision`` coefficients.
 
-    Each division that hits the one-t-cancellation rule costs one order on
-    its path to the root, so evaluation runs at precision + (most Div nodes
-    on one path, at most ``MAX_DIVISION_DEPTH``) and truncates.
+    A division by a series that varies with t (holds ``t`` or ``elam``) may
+    cancel one t, so it costs one order on its path to the root: evaluation
+    runs at precision + (most such Div nodes on one path, at most
+    ``MAX_DIVISION_DEPTH``) and truncates.
     ``precision`` must lie in 1..``families.MAX_PRECISION``.
     """
     if precision < 1:
         raise PrecisionExceeded(f"order must be >= 1, got {precision}")
     families.check_precision(precision, "order")
-    return _eval(node, precision + _padding(node)).truncate(precision)
+    return _eval(node, precision + _padding(node)[0]).truncate(precision)

@@ -27,6 +27,7 @@ once, n! folded in, and each output, its divisor j! too, reduced once.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -49,9 +50,11 @@ def format_rational(q: Fraction) -> str:
     """Render a rational as ``p/q``, omitting the ``/1`` of integers."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    p, d = q.numerator, q.denominator
+    try:
+        return str(p) if d == 1 else f"{p}/{d}"
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal's str is exact, unlimited
+        return str(Decimal(p)) if d == 1 else f"{Decimal(p)}/{Decimal(d)}"
 
 
 def trim(cs: list) -> list:
@@ -298,7 +301,8 @@ class LambdaPoly:
     def monomial(cls, degree: int, coeff=1) -> LambdaPoly:
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (Fraction(coeff),))
+        q = Fraction(coeff)  # reduced, so canonical over its own denominator
+        return _lp((0,) * degree + (q.numerator,), q.denominator) if q else _lp((), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -170,9 +170,12 @@ def test_eval_error_is_span_tagged():
     assert proc.returncode == 2
     assert "at offset 0..3:" in proc.stderr
     # more nested divisions than the bound, refused before any evaluation
-    proc = run_cli("eval", "li(2,1-elam(-1))" + "/1" * 199, "--order", "128")
+    proc = run_cli("eval", "li(2,1-elam(-1))" + "/elam(1)" * 100, "--order", "128")
     assert proc.returncode == 2
-    assert "at offset 0..52: more than 8 divisions" in proc.stderr
+    assert "at offset 0..88: more than 8 divisions" in proc.stderr
+    # a divisor with no t and no elam counts toward no bound
+    proc = run_cli("eval", "t" + " / 1" * 9)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli("eval", "t").stdout, "")
 
 
 def test_readme_command_line_transcripts():

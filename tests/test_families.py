@@ -215,6 +215,17 @@ def test_poly_bernoulli_table_matches_series_assembly():
         assert got == series_table(series_poly_bernoulli(k, 64)), k
 
 
+def test_bernoulli_tangent_route_equals_kaneko_and_the_recurrence():
+    for n in range(1, families.MAX_PRECISION + 3):
+        got = families._values(families.bernoulli_gf(n))
+        kaneko, triangular = families._kaneko(1, n), identities.bernoulli_numbers_triangular(n)
+        assert got == kaneko == triangular, n
+        assert {type(v) for v in got + kaneko + triangular} == {Fraction}, n
+    assert families.poly_bernoulli_gf(1, 40) == families.bernoulli_gf(40)
+    bern = families.table("bernoulli", 40).values
+    assert families.table("poly-bernoulli", 40, k=1).values == bern
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 128])
 def test_closed_forms_equal_the_series_routes(n):
     t = Series.t(n + 1)  # each division cancels one t

@@ -410,11 +410,20 @@ def test_division_depth_is_bounded():
         assert eval_expr(parse(f"t^{d}" + "/t" * d), order) == Series.one(order)
     # the padding is counted on one path, so side-by-side quotients pass
     assert eval_expr(parse("+".join(["t/t"] * (d + 1))), 2) == Series.constant(d + 1, 2)
-    # the lowest division past the bound is named, before anything is evaluated;
+    # a divisor with no t and no elam is a constant series: it needs no padding
+    # and counts toward no bound, also mixed into a chain that does count;
     # "/1/1" is a division by the literal 1/1
-    chain = "li(2,1-elam(-1))" + "/1" * 199
+    for order in (1, 4, families.MAX_PRECISION):
+        assert eval_expr(parse("t" + " / 1" * (d + 1)), order) == Series.t(order)
+        mixed = f"(lambda*t)^{d}" + "/t/(2*lambda)/(exp(0)+log(1)+2)" * d
+        assert eval_expr(parse(mixed), order) == Series.constant(Fraction(1, 6**d), order)
+    consts = "li(2,1-elam(-1))" + "/1" * 199
+    assert eval_expr(parse(consts), 6) == eval_expr(parse("li(2,1-elam(-1))"), 6)
+    # the lowest division past the bound is named, before anything is evaluated
+    chain = "li(2,1-elam(-1))" + "/elam(1)" * 100
     deep = f"t^{d + 1}" + "/t" * (d + 1)
-    for text, span in ((deep, (0, len(deep))), (chain, (0, 16 + 4 * (d + 1)))):
+    for text, span in ((deep, (0, len(deep))), (chain, (0, 16 + 8 * (d + 1))),
+                       ("t" + "/(1+t)" * (d + 1), (0, 6 * (d + 1)))):  # up to the last t
         for order in (1, 32, families.MAX_PRECISION):
             with pytest.raises(PrecisionExceeded, match="divisions one inside another") as exc:
                 eval_expr(parse(text), order)

@@ -1,5 +1,6 @@
 """Scalar ring: rationals and Q[lambda]."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,7 @@ from polybern.ring import (
     LAMBDA,
     LambdaPoly,
     format_rational,
+    format_scalar,
     lambda_eval,
 )
 from polybern.series import Series, invert_constant
@@ -46,6 +48,23 @@ def test_format_rational():
     assert format_rational(Fraction(2, 3)) == "2/3"
 
 
+def test_formatting_passes_the_int_str_digit_limit():
+    # 7^6000 has 5071 digits, past Python's default limit of 4300
+    big, limit = 7**6000, sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(big)
+        sys.set_int_max_str_digits(4300)
+        got = [format_rational(Fraction(big, 3)), format_rational(Fraction(3, -big)),
+               format_rational(-big), format_scalar(big * LAMBDA - 1),
+               str(Series([0, Fraction(big, 2)]))]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 5071
+    assert got == [f"{want}/3", f"-3/{want}", f"-{want}", f"{want}*lambda - 1",
+                   f"{want}/2*t + O(t^2)"]
+
+
 # -- lambda polynomials -------------------------------------------------------
 
 
@@ -71,6 +90,21 @@ def test_arithmetic_basics():
     assert -lp(1, -2) == lp(-1, 2)
     assert lp(1, 2) / 2 == lp(Fraction(1, 2), 1)
     assert Fraction(1, 2) * LAMBDA == lp(0, Fraction(1, 2))
+
+
+def test_monomial_is_canonical_as_built():
+    for degree in (0, 1, 4):
+        for coeff in (0, Fraction(0), 3, -7, Fraction(-4, 6), Fraction(5, 12)):
+            got = LambdaPoly.monomial(degree, coeff)
+            want = LambdaPoly((0,) * degree + (Fraction(coeff),))
+            assert (got._num, got._den) == (want._num, want._den), (degree, coeff)
+            assert got == want and hash(got) == hash(want)
+            assert all(type(c) is int for c in (*got._num, got._den))
+    assert LambdaPoly.monomial(3, 0)._num == () and LambdaPoly.monomial(3, 0)._den == 1
+    assert LambdaPoly.monomial(2, Fraction(-4, 6))._num == (0, 0, -2)
+    assert LambdaPoly.monomial(2, Fraction(-4, 6))._den == 3
+    with pytest.raises(ValueError, match="monomial degree"):
+        LambdaPoly.monomial(-1)
 
 
 def test_equality_against_plain_rationals():
