@@ -219,7 +219,8 @@ def _verify_equation(args):
         raise PolybernError("an equation has exactly one '=='")
     order = args.order if args.order is not None else DEFAULT_ORDER
     lhs = expr.eval_expr(expr.parse(lhs_text), order)
-    rhs = expr.eval_expr(expr.parse(rhs_text), order)
+    # the right side parses behind blanks, so its offsets count from the target's start
+    rhs = expr.eval_expr(expr.parse(" " * (len(lhs_text) + 2) + rhs_text), order)
     witness = identities._first_failure(((n, lhs[n], rhs[n]) for n in range(order)), args.lam)
     params = {"order": order, "lambda": _lam_label(args.lam)}
     status = "pass" if witness is None else "fail"

@@ -26,7 +26,7 @@ from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from . import families
-from .errors import PolybernError, PrecisionExceeded
+from .errors import NonUnitLeadingCoefficient, PolybernError, PrecisionExceeded
 from .ring import LAMBDA, format_rational
 from .series import Series
 
@@ -319,7 +319,8 @@ class _Parser:
             return _LEAVES[tok.text](span=span)
         if tok.kind == "(":
             node = self.group()
-            self.expect({")"}, {")"})
+            close = self.expect({")"}, {")"})
+            node.span = (tok.pos, close.pos + 1)  # the parentheses included
             return node
         return self.call(tok)
 
@@ -411,7 +412,11 @@ def _eval(node: _Node, n: int) -> Series:
     try:
         if kind in _BINARY:
             lhs, rhs = node.fields
-            return _BINARY[kind][2](_eval(lhs, n), _eval(rhs, n))
+            a, b = _eval(lhs, n), _eval(rhs, n)
+            if kind is Div and not b[0] and not _padding(rhs)[1]:
+                # a constant series, so exactly zero: no t of it can cancel
+                raise NonUnitLeadingCoefficient("divisor constant term 0 is not invertible")
+            return _BINARY[kind][2](a, b)
         if kind is RationalLit:
             return Series.constant(node.fields[0], n)
         if kind is LambdaSym:

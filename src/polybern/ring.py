@@ -15,11 +15,11 @@ This module also owns the dense coefficient kernel that ``Polynomial``
 Fraction or LambdaPoly coefficients: coefficient lists stored low degree
 first, with trimming, addition, truncated multiplication, Horner evaluation
 and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
-Miller's power, a quotient and the Stirling-1 transform in ``series``) runs
-on ``FractionRow``s of integers and reduces each output coefficient once.
+the one recurrence and the Stirling-1 transform of ``series``) runs on
+``FractionRow``s of integers and reduces each output coefficient once.
 Over Q[lambda] and mixed rows, each sum of products behind an output
-coefficient (of a product, Miller's power, a quotient or a pairing) is one
-``dot``: integer rows summed over a running common denominator and reduced
+coefficient (of a product, a pairing or that recurrence) is one ``dot``:
+weighted integer rows summed over a running common denominator and reduced
 once, not once per term. The sliding sums of an operator action or a
 translate are one ``correlate``: the polynomial lifted to integer rows
 once, n! folded in, and each output, its divisor j! too, reduced once.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -95,12 +96,13 @@ class FractionRow:
         self.nums.append(q.numerator * (self.den // d))
 
 
-def dot(xs, ys):
-    """``sum_i xs[i] * ys[i]`` over Fractions, ints and LambdaPolys, summed as
-    integer rows over a running common denominator and reduced once: a
+def dot(xs, ys, weights=None, divisor: int = 1):
+    """``sum_i weights[i] * xs[i] * ys[i] / divisor`` over Fractions, ints and
+    LambdaPolys (int weights, all 1 if None; a positive int divisor), summed
+    as integer rows over a running common denominator and reduced once: a
     Fraction when every input is a Q scalar, else a LambdaPoly."""
     acc, den, in_q = [], 1, True
-    for x, y in zip(xs, ys):
+    for x, y, w in zip(xs, ys, repeat(1) if weights is None else weights):
         if type(x) is LambdaPoly:
             a, da, in_q = x._num, x._den, False
         else:
@@ -109,7 +111,7 @@ def dot(xs, ys):
             b, db, in_q = y._num, y._den, False
         else:
             b, db = (y.numerator,) if y else (), y.denominator
-        if not (a and b):
+        if not (a and b and w):
             continue
         if len(a) > len(b):
             a, b = b, a
@@ -118,13 +120,14 @@ def dot(xs, ys):
             s = d // gcd(den, d)
             acc = [c * s for c in acc]
             den *= s
-        s = den // d
+        s = den // d * w
         acc += [0] * (len(a) + len(b) - 1 - len(acc))
         for i, u in enumerate(a):
             if u:
                 u *= s
                 for j, v in enumerate(b, i):
                     acc[j] += u * v
+    den *= divisor
     if in_q:
         return Fraction(acc[0], den) if acc else _ZERO
     return _normalised(acc, den)

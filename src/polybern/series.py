@@ -3,7 +3,8 @@
 A series stores exactly ``precision`` coefficients (that of t^0 through
 t^(precision-1)); binary operations return the minimum of the operand
 precisions and never extend silently. Coefficients are Fractions or
-LambdaPolys; the two mix freely (Q embeds into Q[lambda]).
+LambdaPolys; the two mix freely (Q embeds into Q[lambda]). A quotient by a
+unit, a power, log and exp are one triangular recurrence, ``_recurrence``.
 """
 
 from __future__ import annotations
@@ -175,39 +176,22 @@ class Series:
                 raise PrecisionExceeded("division leaves no coefficients")
         g0 = g[0]
         inv = invert_constant(g0)
-        if inv is None and not (isinstance(g0, LambdaPoly) and g0):
+        if inv is not None:
+            return Series(_recurrence(g, n, f[0] * inv, 0, -1, f, inv))
+        if not (isinstance(g0, LambdaPoly) and g0):
             raise NonUnitLeadingCoefficient(
                 f"divisor constant term {format_scalar(g0)} is not invertible"
             )
         out: list = []
-        if inv is not None and all(type(c) is Fraction for c in f + g):
-            # over Q: out_i = (f_i - sum_(j=1..i) g_j out_(i-j)) * inv, the sum in
-            # integers over the running denominators of g and out
-            gr, q = FractionRow(), FractionRow()
-            for a, b in zip(f, g):
-                gr.append(b)
-                d = gr.den * q.den
-                s = a.numerator * d - a.denominator * sum(map(mul, gr.nums[1:], reversed(q.nums)))
-                out.append(Fraction(s * inv.numerator, a.denominator * d * inv.denominator))
-                q.append(out[-1])
-            return Series(out)
-        # out_i = (f_i - sum_(j=1..i) g_j out_(i-j)) / g0 as one dot per i, with
-        # the divisor scaled by -c once: c = inv, or 1 before an exact division
-        c = 1 if inv is None else inv
-        g = [-c * b for b in g]
-        for i in range(n):
-            acc = dot((f[i], *g[1:i + 1]), (c, *reversed(out)))
-            if inv is not None:
-                out.append(acc)
-            else:
-                num = acc if isinstance(acc, LambdaPoly) else LambdaPoly.constant(acc)
-                q = num.divide_exact(g0)
-                if q is None:
-                    raise NonUnitLeadingCoefficient(
-                        f"coefficient {format_scalar(acc)} is not divisible by "
-                        f"{format_scalar(g0)}"
-                    )
-                out.append(q)
+        for i in range(n):  # out_i = (f_i - sum_(j=1..i) g_j out_(i-j)) / g0, divided exactly
+            acc = dot((f[i], *g[1:i + 1]), (1, *reversed(out)), (1, *[-1] * i))
+            num = acc if isinstance(acc, LambdaPoly) else LambdaPoly.constant(acc)
+            q = num.divide_exact(g0)
+            if q is None:
+                raise NonUnitLeadingCoefficient(
+                    f"coefficient {format_scalar(acc)} is not divisible by {format_scalar(g0)}"
+                )
+            out.append(q)
         return Series(out)
 
     __truediv__ = div
@@ -260,16 +244,8 @@ class Series:
             raise ConstantTermNotOne(
                 f"log needs constant term 1, got {format_scalar(self._coeffs[0])}"
             )
-        n = self.precision
-        out: list = [_ZERO]
-        for m in range(1, n):
-            acc = m * self._coeffs[m]
-            for j in range(1, m):
-                fm = self._coeffs[m - j]
-                if fm:
-                    acc = acc - j * out[j] * fm
-            out.append(acc / m)
-        return Series(out)
+        f = self._coeffs
+        return Series(_recurrence(f, len(f), _ZERO, 1, -1, f, 1))
 
     def exp(self) -> Series:
         """Formal exponential; needs constant term 0."""
@@ -277,16 +253,8 @@ class Series:
             raise NonzeroConstantTerm(
                 f"exp needs constant term 0, got {format_scalar(self._coeffs[0])}"
             )
-        n = self.precision
-        out: list = [Fraction(1)]
-        for m in range(1, n):
-            acc = _ZERO
-            for j in range(1, m + 1):
-                fj = self._coeffs[j]
-                if fj:
-                    acc = acc + j * fj * out[m - j]
-            out.append(acc / m)
-        return Series(out)
+        f = self._coeffs
+        return Series(_recurrence(f, len(f), Fraction(1), 1, 0, None, 1))
 
     # -- misc ---------------------------------------------------------------
 
@@ -315,26 +283,41 @@ class Series:
 
 
 def _miller_power(f, r: int, inv) -> list:
-    """Coefficients of g = f^r for an integer r with |r| >= 2 and ``inv`` =
-    1/f[0], by Miller's recurrence g_m = (inv/m) sum_(j=1..m) ((r+1) j - m)
-    f_j g_(m-j), from f g' = r f' g (Knuth, TAOCP vol. 2, 4.7). Each sum is
-    reduced once: in integers over Q, by ``dot`` over Q[lambda]."""
+    """Coefficients of f^r for an integer r with |r| >= 2 and ``inv`` = 1/f_0,
+    by Miller's recurrence: g_m = (inv/m) sum_(j=1..m) ((r+1) j - m) f_j g_(m-j)."""
     g0 = f[0] ** r if r > 0 else inv ** -r  # a LambdaPoly takes no negative power
-    if not all(type(c) is Fraction for c in f):
-        g = [g0]
-        for m in range(1, len(f)):
-            w = [((r + 1) * j - m) * f[j] for j in range(1, m + 1)]
-            g.append(dot(w, reversed(g)) * (inv / m))
+    return _recurrence(f, len(f), g0, r + 1, -1, None, inv)
+
+
+def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:
+    """g_0 = ``g0`` and g_m = (scale/m) (m head_m + sum_(j=1..m) (a j + b m)
+    f_j g_(m-j)) for m < n, no head term if ``head`` is None; f_0 is unread.
+    From f g' = r f' g and its kin (Knuth, TAOCP vol. 2, 4.7): h/f is a = 0,
+    b = -1, head h, scale 1/f_0; f^r is a = r + 1, b = -1, scale 1/f_0; log f
+    is a = 1, b = -1, head f; exp f is a = 1, b = 0. Each g_m is reduced
+    once: over Q one Fraction of integer rows that grow with m, else one dot."""
+    head = head or (_ZERO,) * n
+    p, q = scale.numerator, scale.denominator
+    g = [g0]
+    if not all(type(c) is Fraction for c in (g0, *f[1:n], *head[1:n])):
+        for m in range(1, n):
+            w = [p * (a * j + b * m) for j in range(1, m + 1)]
+            g.append(dot((head[m], *f[1:m + 1]), (m, *reversed(g)), (p, *w), q * m))
         return g
-    # g_m reads f_0..f_m and g_0..g_(m-1) only, so both rows grow with m
-    fr, g, out = FractionRow(f[:1]), FractionRow([g0]), [g0]
-    for m in range(1, len(f)):
+    # g_m reads f_1..f_m and g_0..g_(m-1) only, so both rows grow with m
+    fr, gr = FractionRow(), FractionRow([g0])
+    for m in range(1, n):
         fr.append(f[m])
-        w = [((r + 1) * j - m) * fr.nums[j] for j in range(1, m + 1)]
-        s = sum(map(mul, w, reversed(g.nums)))
-        out.append(Fraction(s * inv.numerator, inv.denominator * fr.den * g.den * m))
-        g.append(out[-1])
-    return out
+        h, d = head[m], fr.den * gr.den
+        if a:
+            w = [(a * j + b * m) * c for j, c in enumerate(fr.nums, 1)]
+            s = sum(map(mul, w, reversed(gr.nums)))
+        else:  # every weight is b m, which factors out of the sum
+            s = b * m * sum(map(mul, fr.nums, reversed(gr.nums)))
+        s = m * h.numerator * d + h.denominator * s
+        g.append(Fraction(s * p, h.denominator * d * q * m))
+        gr.append(g[-1])
+    return g
 
 
 def stirling1_transform(values) -> Series:

@@ -1,10 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the library: plain-list
-convolution, long division and composition, scalar-by-scalar sums of
-products, derivative-sum operator action, binomial translation, and the
-triangular Bernoulli recurrence. Library results are checked against these,
-never against themselves.
+convolution, long division and composition, logarithm and exponential as
+power sums, scalar-by-scalar sums of products, derivative-sum operator
+action, binomial translation, and the triangular Bernoulli recurrence.
+Library results are checked against these, never against themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from polybern.series import Series
 # checkout's src/, as pyproject's ``pythonpath`` does for pytest itself.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+# integer exponents for series powers: both signs, both sides of |r| >= 2
+EXPONENTS = [-40, -3, -2, -1, 0, 1, 2, 3, 40]
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -74,6 +77,29 @@ def divide_lists(f: list, g: list, n: int) -> list:
 def dot_list(xs: list, ys: list):
     """sum_i xs[i] * ys[i], one scalar product and sum at a time."""
     return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+
+def log_list(f: list) -> list:
+    """log f for f_0 = 1 as the power sum sum_k (-1)^(k+1) u^k / k, u = f - 1."""
+    return _power_sum(f, lambda k: Fraction((-1) ** (k + 1), k), Fraction(0))
+
+
+def exp_list(f: list) -> list:
+    """exp f for f_0 = 0 as the power sum sum_k f^k / k!."""
+    return _power_sum(f, lambda k: Fraction(1, factorial(k)), Fraction(1))
+
+
+def _power_sum(f: list, weight, constant) -> list:
+    """constant + sum_(k>=1) weight(k) u^k with u = f less its constant term;
+    u^k vanishes to order k, so k < len(f) suffices."""
+    n = len(f)
+    u = [Fraction(0)] + list(f[1:])
+    out = [constant] + [Fraction(0)] * (n - 1)
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        power = convolve(power, u, n)
+        out = [a + weight(k) * b for a, b in zip(out, power)]
+    return out
 
 
 def pair_list(f: list, p: list):

@@ -178,6 +178,31 @@ def test_eval_error_is_span_tagged():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli("eval", "t").stdout, "")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the right side of an equation counts from the start of the target
+    (["verify", "t == log(t)"], "at offset 5..11: log needs constant term 1, got 0"),
+    (["verify", "t + t == t + t +"], "unexpected end of input at offset 16 "),
+    # a parenthesised group's span holds its parentheses
+    (["eval", "(t+lambda)^-2", "--order", "3"],
+     "at offset 0..13: coefficient 1 is not divisible by lambda^2"),
+    (["eval", "(lambda+t)/lambda", "--order", "2"],
+     "at offset 0..17: coefficient 1 is not divisible by lambda"),
+    # a divisor with no t and no elam is a constant series: its zero is exact at every order
+    (["eval", "t/0", "--order", "1"], "at offset 0..3: divisor constant term 0 is not invertible"),
+    (["eval", "t/(lambda-lambda)", "--order", "1"],
+     "at offset 0..17: divisor constant term 0 is not invertible"),
+])
+def test_error_offsets_and_messages(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_a_constant_non_unit_divisor_still_divides_at_order_one(capsys):
+    assert cli.main(["eval", "(lambda+t)/lambda", "--order", "1"]) == 0
+    assert capsys.readouterr().out == "n  coefficient  sequence\n0  1            1\n"
+
+
 def test_readme_command_line_transcripts():
     """Each ``$ polybern ...`` transcript of README's "Command line" section,
     run in-process, prints what README shows and exits 0."""
@@ -301,7 +326,7 @@ def test_main_exits_zero_one_or_two_on_any_input(command, options, order):
     assert code != 1 or name == "verify", argv
     if code == 2:
         assert err.getvalue().startswith("polybern: error"), argv
-        if name == "eval":  # a span lies inside the expression text
+        if name in ("eval", "verify"):  # a span lies inside the expression text
             for a, b in re.findall(r"at offset (\d+)\.\.(\d+)", err.getvalue()):
                 assert 0 <= int(a) <= int(b) <= len(target), argv
     else:

@@ -1,7 +1,8 @@
-"""The exact series kernel (integer rows over Q, Miller's power, integer-sum
-division, the Stirling-1 transform, the Q[lambda] sum of products
-``ring.dot`` under pairing, and its sliding form ``ring.correlate`` under
-operator action and translation) against the independent oracles of
+"""The exact series kernel (integer rows over Q; the one triangular
+recurrence behind a quotient, Miller's power, log and exp; the Stirling-1
+transform; the Q[lambda] sum of products ``ring.dot``, with int weights,
+under that recurrence and pairing, and its sliding form ``ring.correlate``
+under operator action and translation) against the independent oracles of
 conftest, over Q, Q[lambda] and mixed rows."""
 
 from fractions import Fraction
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    EXPONENTS,
     convolve,
     divide_lists,
     dot_list,
+    exp_list,
+    log_list,
     op_apply_list,
     pair_list,
     shift_list,
@@ -35,7 +39,6 @@ wide = st.builds(Fraction, st.integers(-10**6, 10**6),
                  st.sampled_from([1, 2, 7, 3**20, 2**61, 10**25]))
 WIDE = {"q": wide, "lambda": st.lists(wide, max_size=3).map(LambdaPoly)}
 WIDE["mixed"] = st.one_of(WIDE["q"], WIDE["lambda"], st.integers(-4, 4))
-EXPONENTS = [-40, -3, -2, -1, 0, 1, 2, 3, 40]
 
 
 def rows(ring: str, min_size: int = 1, max_size: int = 7):
@@ -120,6 +123,39 @@ def test_quotients_match_long_division(case):
     assert_stays_in_q(ring, got)
 
 
+def check_log_and_exp(ring: str, f: list):
+    unit, delta = [Fraction(1), *f[1:]], [Fraction(0), *f[1:]]
+    got = Series(unit).log()
+    assert list(got) == log_list(unit)
+    assert_stays_in_q(ring, got)
+    got = Series(delta).exp()
+    assert list(got) == exp_list(delta)
+    assert_stays_in_q(ring, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_rows(1, 7))
+def test_log_and_exp_match_the_power_sums(case):
+    check_log_and_exp(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(WIDE)).flatmap(lambda ring: st.tuples(
+    st.just(ring), st.lists(WIDE[ring], min_size=1, max_size=7))))
+def test_log_and_exp_of_wide_rows_match_the_power_sums(case):
+    check_log_and_exp(*case)
+
+
+def test_log_and_exp_read_a_zero_lambda_poly_as_dot_does():
+    # a LambdaPoly among the coefficients an output reads makes it a
+    # LambdaPoly, a zero one included
+    got = Series([Fraction(0), LambdaPoly(), Fraction(1, 2)]).exp()
+    assert exact(got) == exact([Fraction(1), LambdaPoly(), LambdaPoly([Fraction(1, 2)])])
+    got = Series([Fraction(1), Fraction(0), LambdaPoly(), Fraction(1, 3)]).log()
+    assert exact(got) == exact([Fraction(0), Fraction(0), LambdaPoly(),
+                                LambdaPoly([Fraction(1, 3)])])
+
+
 @pytest.mark.parametrize("c", [Fraction(3, 2), LambdaPoly([Fraction(-2, 3)]),
                                LambdaPoly([1, 1]), Fraction(0)])
 def test_precision_one(c):
@@ -156,14 +192,21 @@ def test_higher_order_gf_is_the_transform_of_the_squared_power(k, r):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(*[st.lists(
-    st.one_of(SCALARS[ring], st.integers(-4, 4)), max_size=6)] * 2)))
-def test_dot_matches_the_sum_of_products(case):
+    st.one_of(SCALARS[ring], st.integers(-4, 4)), max_size=6)] * 2)),
+       st.lists(st.integers(-3, 3), max_size=6), st.integers(1, 6))
+def test_dot_matches_the_sum_of_products(case, weights, divisor):
     xs, ys = case
     got = dot(xs, ys)
     assert got == dot_list(xs, ys)
     n = min(len(xs), len(ys))
     in_q = not any(isinstance(c, LambdaPoly) for c in xs[:n] + ys[:n])
     assert type(got) is (Fraction if in_q else LambdaPoly)
+    # int weights, zero ones included, and a divisor change the value, never the type
+    weighted = dot(xs, ys, weights, divisor)
+    assert weighted == dot_list([w * x for w, x in zip(weights, xs)], ys) / divisor
+    n = min(n, len(weights))
+    in_q = not any(isinstance(c, LambdaPoly) for c in xs[:n] + ys[:n])
+    assert type(weighted) is (Fraction if in_q else LambdaPoly)
 
 
 @settings(max_examples=80, deadline=None)

@@ -90,6 +90,10 @@ def test_spans_cover_source_characters():
     assert parse("li( -2, t)").fields[1][0].span == (4, 6)
     assert parse("li (2, t)").fields[1][0].span == (4, 5)
     assert parse("elam( - 2/3)").fields[1][0].span == (6, 11)
+    # a parenthesised group spans its parentheses, and so does what it starts
+    assert parse(" (t+lambda)").span == (1, 11)
+    assert parse("(t+lambda)^-2").span == (0, 13)
+    assert parse("((lambda))/lambda").fields[0].span == (0, 10)
 
 
 def test_spans_do_not_affect_equality():
@@ -422,8 +426,9 @@ def test_division_depth_is_bounded():
     # the lowest division past the bound is named, before anything is evaluated
     chain = "li(2,1-elam(-1))" + "/elam(1)" * 100
     deep = f"t^{d + 1}" + "/t" * (d + 1)
+    parens = "t" + "/(1+t)" * (d + 1)
     for text, span in ((deep, (0, len(deep))), (chain, (0, 16 + 8 * (d + 1))),
-                       ("t" + "/(1+t)" * (d + 1), (0, 6 * (d + 1)))):  # up to the last t
+                       (parens, (0, len(parens)))):  # a group's span holds its parentheses
         for order in (1, 32, families.MAX_PRECISION):
             with pytest.raises(PrecisionExceeded, match="divisions one inside another") as exc:
                 eval_expr(parse(text), order)
