@@ -3,12 +3,12 @@
 Rationals are stdlib ``fractions.Fraction`` values, which are always stored
 fully reduced with a positive denominator, so equality is structural.
 ``LambdaPoly`` is a dense polynomial in the indeterminate ``lambda`` over Q,
-stored as a row of integer numerators over one positive common denominator
-and kept canonical (no trailing zero, the gcd of the denominator and all
-numerators is 1). Its arithmetic runs on the integer rows and divides out
-one gcd per operation, not one Fraction reduction per coefficient. Plain
-rationals embed implicitly as degree-0 polynomials, so mixed arithmetic
-needs no explicit coercion at call sites.
+stored as a row of integer numerators over one positive common denominator and
+kept canonical (no trailing zero, the gcd of the denominator and all
+numerators is 1). Its arithmetic runs on the integer rows, one gcd per
+operation (none to scale by an int), and it renders from them: no Fraction per
+coefficient. Plain rationals embed implicitly as degree-0 polynomials, so
+mixed arithmetic needs no explicit coercion at call sites.
 
 This module also owns the dense coefficient kernel that ``Polynomial``
 (Q[lambda][x]) and ``Series`` (truncated series in t) share over their
@@ -47,15 +47,19 @@ __all__ = [
 ]
 
 
+def _ratio(p: int, q: int) -> str:
+    """``p``, or ``p/q`` for q > 1; past the int/str digit limit, Decimal's exact str."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
+
+
 def format_rational(q: Fraction) -> str:
     """Render a rational as ``p/q``, omitting the ``/1`` of integers."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    p, d = q.numerator, q.denominator
-    try:
-        return str(p) if d == 1 else f"{p}/{d}"
-    except ValueError:  # past sys.get_int_max_str_digits(); Decimal's str is exact, unlimited
-        return str(Decimal(p)) if d == 1 else f"{Decimal(p)}/{Decimal(d)}"
+    return _ratio(q.numerator, q.denominator)
 
 
 def trim(cs: list) -> list:
@@ -205,11 +209,13 @@ def power(base, n: int, one):
     return one if out is None else out
 
 
-def format_terms(coeffs, var: str) -> str:
+def format_terms(coeffs, var: str, den: int = 1) -> str:
     """Render dense coefficients highest degree first, as ``-3/4*x^2 + x - 1``.
 
-    A coefficient that is not a rational constant (a LambdaPoly of degree
-    >= 1) prints in parentheses after a ``+``, as ``(lambda + 1)*x``.
+    Coefficients are Fractions, LambdaPolys, or ints over the common positive
+    denominator ``den``, each reduced by one gcd; every term is written from
+    its integer numerator and denominator. A LambdaPoly of degree >= 1 prints
+    in parentheses after a ``+``, as ``(lambda + 1)*x``.
     """
     parts: list[str] = []
     for d in range(len(coeffs) - 1, -1, -1):
@@ -217,21 +223,24 @@ def format_terms(coeffs, var: str) -> str:
         if not c:
             continue
         xs = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
-        if isinstance(c, LambdaPoly):
-            if c.degree > 0:
+        if type(c) is int:
+            g = gcd(c, den)
+            p, q = c // g, den // g
+        elif type(c) is LambdaPoly:
+            if len(c._num) > 1:
                 body = f"({c})*{xs}" if xs else f"({c})"
                 parts.append(f"+ {body}" if parts else body)
                 continue
-            c = c.constant_term
-        mag = abs(c)
+            p, q = c._num[0], c._den
+        else:
+            p, q = c.numerator, c.denominator
+        mag = p if p > 0 else -p
         if not xs:
-            body = format_rational(mag)
+            body = _ratio(mag, q)
         else:
-            body = xs if mag == 1 else f"{format_rational(mag)}*{xs}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            body = xs if mag == 1 and q == 1 else f"{_ratio(mag, q)}*{xs}"
+        sign = ("" if p > 0 else "-") if not parts else ("+ " if p > 0 else "- ")
+        parts.append(sign + body)
     return " ".join(parts) or "0"
 
 
@@ -280,9 +289,10 @@ class LambdaPoly:
     Values are immutable and kept canonical, so equality is structural:
     ``_den > 0``, ``_num`` has no trailing zero, ``gcd(_den, *_num) == 1``,
     and the zero polynomial is ``((), 1)``. Every operation works on the
-    integer rows and divides out one gcd at the end. The constructor takes
-    Fractions or ints, and ``coeffs`` and ``constant_term`` build Fractions
-    on demand.
+    integer rows and divides out one gcd at the end; ``m * p`` for an int m
+    scales the row by m/gcd(den, m), which stays canonical, and ``str``
+    writes each n_i/den from ints. ``coeffs`` and ``constant_term`` build
+    Fractions on demand, off every hot path.
     """
 
     __slots__ = ("_num", "_den")
@@ -371,6 +381,11 @@ class LambdaPoly:
         return lhs + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # with g = gcd(den, m), m * num / den is canonical over den // g as it is
+            g = gcd(self._den, other)
+            s = other // g
+            return _lp(tuple([c * s for c in self._num]) if s else (), self._den // g)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -448,7 +463,7 @@ class LambdaPoly:
         return Fraction(acc * q, self._den * qk)
 
     def __str__(self) -> str:
-        return format_terms(self.coeffs, "lambda")
+        return format_terms(self._num, "lambda", self._den)
 
     def __repr__(self) -> str:
         return f"LambdaPoly({self})"

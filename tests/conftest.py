@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library: plain-list
 convolution, long division and composition, logarithm and exponential as
 power sums, scalar-by-scalar sums of products, derivative-sum operator
-action, binomial translation, and the triangular Bernoulli recurrence.
+action, binomial translation, the triangular Bernoulli recurrence, and
+rendering through one reduced Fraction per coefficient.
 Library results are checked against these, never against themselves.
 """
 
@@ -13,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -195,3 +197,51 @@ def stirling1_reference(values: list) -> list[list]:
             coeffs.pop()
         out.append(coeffs)
     return out
+
+
+def _rational_reference(q: Fraction) -> str:
+    p, d = q.numerator, q.denominator
+    try:
+        return str(p) if d == 1 else f"{p}/{d}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return str(Decimal(p)) if d == 1 else f"{Decimal(p)}/{Decimal(d)}"
+
+
+def _terms_reference(coeffs, var: str) -> str:
+    parts = []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
+        if not c:
+            continue
+        xs = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
+        if isinstance(c, LambdaPoly):
+            if c.degree > 0:
+                inner = render_reference(c)
+                body = f"({inner})*{xs}" if xs else f"({inner})"
+                parts.append(f"+ {body}" if parts else body)
+                continue
+            c = c.constant_term
+        mag = abs(c)
+        if not xs:
+            body = _rational_reference(mag)
+        else:
+            body = xs if mag == 1 else f"{_rational_reference(mag)}*{xs}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def render_reference(value) -> str:
+    """The text of a rational, LambdaPoly, Polynomial or Series written from
+    one reduced Fraction per coefficient (``LambdaPoly.coeffs``), with signs
+    and units found by comparing Fractions: the oracle for ``str`` and
+    ``ring.format_scalar``."""
+    if isinstance(value, Series):
+        return f"{_terms_reference(value.coeffs, 't')} + O(t^{value.precision})"
+    if isinstance(value, Polynomial):
+        return _terms_reference(value.coeffs, "x")
+    if isinstance(value, LambdaPoly):
+        return _terms_reference(value.coeffs, "lambda")
+    return _rational_reference(Fraction(value))

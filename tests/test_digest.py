@@ -2,15 +2,20 @@
 corpus over Q, Q[lambda] and mixed rows up to order 12: the type name and
 ``format_scalar`` text of every coefficient of ``*``, ``div``, ``**`` over
 EXPONENTS, ``log``, ``exp``, ``compose`` and ``revert``, and the type and
-message of every error they raise. A kernel change that keeps every output
-keeps DIGEST; a deliberate change of output records the new digest here and
-its reason in CHANGES.md."""
+message of every error they raise. A second digest, OUTPUT_DIGEST, covers
+rendered text: ``format_scalar`` of family tables, ``str`` of family
+polynomials and in-process ``cli.main`` stdout in every format. A kernel or
+render change that keeps every output keeps both; a deliberate change of
+output records the new digest here and its reason in CHANGES.md."""
 
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
 from conftest import EXPONENTS
+from polybern import cli, families
 from polybern.errors import PolybernError
 from polybern.ring import LAMBDA, LambdaPoly, format_scalar
 from polybern.series import Series
@@ -76,3 +81,42 @@ def test_every_series_output_matches_the_recorded_digest():
         for name, thunk in outputs(f, g):
             h.update(f"{ring} {f.precision} {name} {record(thunk)}\n".encode())
     assert h.hexdigest() == DIGEST
+
+
+# -- rendered output ------------------------------------------------------------
+
+OUTPUT_DIGEST = "98f2983bc09b58eb6b4c0db3b2e26bfc48001c6187b5351d877a712bbecd0797"
+TABLES = ([("dpb", k, 1) for k in range(-2, 4)] + [("carlitz", None, 1)]
+          + [("dpb-higher", k, r) for k in (-1, 2) for r in (2, 3)])
+POLYNOMIALS = [("dpb", 2, 1, 5), ("dpb", -2, 1, 7), ("carlitz", None, 1, 6),
+               ("dpb-higher", 2, 3, 4), ("poly-bernoulli", 3, 1, 6)]
+COMMANDS = [("table", "dpb", "--k", "2", "--n", "8"), ("table", "carlitz", "--n", "6"),
+            ("table", "dpb-higher", "--k", "-1", "--r", "2", "--n", "5"),
+            ("poly", "dpb", "--k", "-1", "--n", "5"), ("poly", "carlitz", "--n", "4"),
+            ("eval", "li(2,1-elam(-1))/(elam(1)-1)", "--order", "6"),
+            ("eval", "t/(elam(1)-1)+lambda^2*t^3", "--order", "5")]
+
+
+def rendered_outputs():
+    """(label, text) for every rendered output the output digest covers."""
+    for family, k, r in TABLES:
+        for n in (16, 24):
+            tbl = families.table(family, n, k=k, r=r)
+            yield f"table {family} {k} {r} {n}", " ".join(
+                f"{type(v).__name__}:{format_scalar(v)}" for v in tbl.values)
+    for family, k, r, n in POLYNOMIALS:
+        yield f"poly {family} {k} {r} {n}", str(families.polynomial(family, n, 16, k=k, r=r))
+    for argv in COMMANDS:
+        for fmt in ("text", "json", "csv"):
+            for lam in ("symbolic", "1/2", "-3"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main([*argv, "--format", fmt, "--lambda", lam])
+                yield f"{' '.join(argv)} {fmt} {lam} {code}", out.getvalue()
+
+
+def test_rendered_output_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    for label, text in rendered_outputs():
+        h.update(f"{label}\n{text}\n".encode())
+    assert h.hexdigest() == OUTPUT_DIGEST

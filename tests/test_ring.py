@@ -1,12 +1,14 @@
 """Scalar ring: rationals and Q[lambda]."""
 
+import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import render_reference
 from polybern.polynomials import Polynomial
 from polybern.ring import (
     LAMBDA,
@@ -63,6 +65,51 @@ def test_formatting_passes_the_int_str_digit_limit():
     assert len(want) == 5071
     assert got == [f"{want}/3", f"-3/{want}", f"-{want}", f"{want}*lambda - 1",
                    f"{want}/2*t + O(t^2)"]
+
+
+DENOMINATORS = (1, 2, 3, 7, 12, 3**20, 2**61)
+
+
+def render_corpus(rng: random.Random, count: int):
+    """Zero, units, degree-0 LambdaPolys and big denominators, then seeded
+    rationals, LambdaPolys, and Polynomials and Series of mixed coefficients."""
+    def q():
+        n = rng.choice((0, 1, -1, rng.randint(-99, 99), rng.randint(-2**80, 2**80)))
+        return Fraction(n, rng.choice(DENOMINATORS))
+
+    def lam():
+        return LambdaPoly([q() for _ in range(rng.randint(0, 4))])
+
+    yield from (Fraction(0), Fraction(1), Fraction(-1), LambdaPoly(), lp(1), lp(-1),
+                lp(Fraction(-5, 3**20)), Fraction(7, 2**61), LAMBDA, -LAMBDA)
+    for _ in range(count):
+        yield q()
+        yield lam()
+        yield Polynomial([rng.choice((q, lam))() for _ in range(rng.randint(0, 5))])
+        yield Series([rng.choice((q, lam))() for _ in range(rng.randint(1, 5))])
+
+
+def test_rendering_matches_the_fraction_route():
+    for value in render_corpus(random.Random(19), 2000):
+        want = render_reference(value)
+        assert str(value) == want
+        if not isinstance(value, (Polynomial, Series)):
+            assert format_scalar(value) == want
+
+
+def test_rendering_past_the_digit_limit_matches_the_fraction_route():
+    big, limit = 7**6000, sys.get_int_max_str_digits()
+    scalars = [lp(Fraction(big, 6), Fraction(-1, 3 * big), 5), Fraction(-big, 2**61)]
+    composites = [Polynomial([Fraction(big, 3), lp(1, Fraction(-1, big))]),
+                  Series([0, lp(big, 0, Fraction(1, 3)), Fraction(-1, big)])]
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [format_scalar(v) for v in scalars] + [str(v) for v in (scalars[0], *composites)]
+        want = [render_reference(v) for v in (*scalars, scalars[0], *composites)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert all(len(text) > 5000 for text in got)  # each writes a 5071-digit int
 
 
 # -- lambda polynomials -------------------------------------------------------
@@ -267,6 +314,17 @@ def test_canonical_form_of_scaled_rows():
     assert (zero._num, zero._den) == ((), 1)
     assert ((p * 0)._num, (p * 0)._den) == ((), 1)
     assert (LambdaPoly()._num, LambdaPoly()._den) == ((), 1)
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, factorial(20), 2**70, -2**70, 3**25])
+def test_int_scaling_matches_the_general_product(m):
+    polys = [LambdaPoly(), LAMBDA, lp(Fraction(2, 6), Fraction(4, 6)), lp(Fraction(1, 3**20), 0, 5),
+             lp(Fraction(-7, 2**61), Fraction(1, 6)), lp(Fraction(3**20, 2**61), Fraction(2**70, 3))]
+    for p in polys:
+        want = p * LambdaPoly.constant(m)
+        for got in (m * p, p * m):
+            assert (got._num, got._den) == (want._num, want._den)
+        assert True * p == p
 
 
 def test_division_by_zero_raises():
