@@ -1,29 +1,28 @@
-"""Named sequence families and their generating functions.
+"""Named sequence families, their tables and their generating functions.
 
-Every family is exact: generating functions are truncated series over Q or
-Q[lambda], and table entry n is n! times the coefficient of t^n. The
-(1 + lambda*t)^(c/lambda) building block is never represented with a
-symbolic exponent; its t^n coefficient is the product
-c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside Q[lambda].
+Every family is exact: table entry n is n! times the coefficient of t^n of
+the family's gf, over Q or Q[lambda]. The (1 + lambda*t)^(c/lambda) building
+block is never represented with a symbolic exponent; its t^n coefficient is
+the product c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside
+Q[lambda].
 
-Every table is a closed form: bernoulli is built from tangent numbers, the
-poly-Bernoulli table is Kaneko's finite sum (bernoulli at k = 1) and
-daehee's t^n coefficient is (-1)^n/(n + 1). Since (1 + lambda*t)^(c/lambda)
-= e^(c*L) with L = log(1 + lambda*t)/lambda, each degenerate gf is a classical one
-composed with L: one ``series.stirling1_transform`` of the classical
-table. The only series operations left are carlitz's one division and
-dpb-higher's ``** r``, both over Q. The series routes these sums replace
-are kept in ``identities`` as independent oracles.
+The table is built first, straight from a closed form: bernoulli from
+tangent numbers, daehee as (-1)^n n!/(n + 1), poly-Bernoulli by Kaneko's
+finite sum (bernoulli at k = 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L)
+with L = log(1 + lambda*t)/lambda, each degenerate table is the
+``series.stirling1_transform`` of a classical one. The only series
+operations left are carlitz's one division and dpb-higher's ``** r``, both
+over Q. Each ``*_gf`` builder is its cached table over n!; they check k and
+r and refuse a precision below 1, but do not bound it. The series routes
+these sums replace are kept in ``identities`` as independent oracles.
 
 ``table`` and ``polynomial`` are the checked routes to every family: one
-``_FAMILIES`` record per family id, and every bound enforced. The
-``*_gf`` builders are raw building blocks: they check k and r, not the
-precision.
+``_FAMILIES`` record per family id, and every bound enforced.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import NamedTuple
@@ -31,7 +30,7 @@ from typing import NamedTuple
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
 from .ring import LambdaPoly
-from .series import Series, precision_cache, stirling1_transform
+from .series import Series, check_truncation, precision_cache, stirling1_transform
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -105,6 +104,7 @@ class SequenceTable:
     precision = property(__len__)
 
     def truncate(self, precision: int) -> SequenceTable:
+        check_truncation(len(self.values), precision, "table")
         return SequenceTable(self.family, self.k, self.r, self.values[:precision])
 
     def value(self, n: int):
@@ -118,6 +118,11 @@ class SequenceTable:
 def _values(gf: Series) -> list:
     """The table of a gf: entry n is n! [t^n] gf."""
     return [factorial(n) * c for n, c in enumerate(gf)]
+
+
+def _gf(values) -> Series:
+    """The gf of a table: coefficient n is entry n / n!."""
+    return Series._of([v / factorial(n) for n, v in enumerate(values)])
 
 
 def _kaneko(k: int, count: int) -> list[Fraction]:
@@ -181,23 +186,19 @@ def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
     for n in range(1, precision):
         prod = prod * LambdaPoly((c, -(n - 1)))
         coeffs.append(prod / factorial(n))
-    return Series(coeffs)
+    return Series(coeffs, precision)
 
 
 def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Sum over n >= 1 of x^n / n^k; for k <= 0 the weights are integers."""
     check_k(k)
-    return Series([Fraction(0)] + [Fraction(n) ** -k for n in range(1, precision)])
+    return Series([Fraction(0)] + [Fraction(n) ** -k for n in range(1, precision)], precision)
 
 
-@precision_cache
-def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n.
-
-    From the tangent numbers T_n, built in place by integer multiply-adds by
-    small ints (Brent and Harvey, 2013): B_2n = (-1)^(n-1) 2n T_n/(4^n (4^n - 1)),
-    so [t^2n] is (-1)^(n-1) T_n/(4^n (4^n - 1) (2n-1)!), one reduction each.
-    """
+def _bernoulli(precision: int) -> list[Fraction]:
+    """B_0..B_(precision-1), from the tangent numbers T_n, built in place by
+    integer multiply-adds by small ints (Brent and Harvey, 2013):
+    B_2n = (-1)^(n-1) 2n T_n/(4^n (4^n - 1)), one reduction each."""
     m = (precision - 1) // 2
     tan = [0, 1] + [0] * (m - 1)  # tan[j] = T_j for j = 1..m
     for k in range(2, m + 1):
@@ -205,34 +206,41 @@ def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
     for k in range(2, m + 1):
         for j in range(k, m + 1):
             tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
-    coeffs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (precision - 2)
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (precision - 2)
     for n in range(1, m + 1):
-        coeffs[2 * n] = Fraction((-1) ** (n - 1) * tan[n],
-                                 4 ** n * (4 ** n - 1) * factorial(2 * n - 1))
-    return Series(coeffs[:precision])
+        out[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * tan[n], 4 ** n * (4 ** n - 1))
+    return out[:precision]
+
+
+def _carlitz(precision: int) -> list:
+    """The table of t/((1 + lambda*t)^(1/lambda) - 1) = (t/L) * B(L), with
+    B = bernoulli_gf. It splits as G(lambda*t) + t*F(L). The first term is
+    t/L, with G = t/log(1 + t) = 1/daehee_gf a series over Q. The second has
+    F = (B(x) - 1)/x, whose table is B_(m+1)/(m + 1), so the table of F(L) is
+    one Stirling-1 transform; entry n of t*F(L) is n times its entry n - 1."""
+    bern = _table("bernoulli", None, 1, precision + 1).values
+    f = stirling1_transform([bern[m + 1] / (m + 1) for m in range(precision)])
+    g = Series.one(precision).div(daehee_gf(precision))
+    return [g[0]] + [LambdaPoly.monomial(n, factorial(n) * g[n]) + n * f[n - 1]
+                     for n in range(1, precision)]
+
+
+@precision_cache
+def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
+    """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
+    return _gf(_table("bernoulli", None, 1, precision).values)
 
 
 @precision_cache
 def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """log(1 + t)/t, whose t^n coefficient is (-1)^n/(n + 1)."""
-    return Series([Fraction((-1) ** n, n + 1) for n in range(precision)])
+    return _gf(_table("daehee", None, 1, precision).values)
 
 
 @precision_cache
 def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
-    """t/((1 + lambda*t)^(1/lambda) - 1).
-
-    This is (t/L) * B(L), with B = bernoulli_gf, and it splits as
-    G(lambda*t) + t*F(L). The first term is t/L, with
-    G = t/log(1 + t) = 1/daehee_gf a series over Q. The second has
-    F = (B(x) - 1)/x, whose table is B_(m+1)/(m + 1), so F(L) is one
-    Stirling-1 transform.
-    """
-    bern = _values(bernoulli_gf(precision + 1))
-    f = stirling1_transform([bern[m + 1] / (m + 1) for m in range(precision)])
-    g = Series.one(precision).div(daehee_gf(precision))
-    return Series([g[0]] + [g[n] * LambdaPoly.monomial(n) + f[n - 1]
-                            for n in range(1, precision)])
+    """t/((1 + lambda*t)^(1/lambda) - 1), the Carlitz degenerate Bernoulli gf."""
+    return _gf(_table("carlitz", None, 1, precision).values)
 
 
 @precision_cache
@@ -240,32 +248,29 @@ def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum; at k = 1,
     where Li_1(1 - e^(-t)) = t, it is bernoulli_gf."""
     check_k(k)
-    if k == 1:
-        return bernoulli_gf(precision)
-    return Series([v / factorial(n) for n, v in enumerate(_kaneko(k, precision))])
+    return _gf(_table("poly-bernoulli", k, 1, precision).values)
 
 
 @precision_cache
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
-    """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1)."""
+    """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1),
+    dpb_higher_gf at r = 1, whose table the dpb table is."""
     return dpb_higher_gf(k, 1, precision)
 
 
 @precision_cache
 def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
     """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
-    L = log(1 + lambda*t)/lambda, so its r-th power is the Stirling-1
-    transform of poly_bernoulli_gf(k)^r, a power over Q."""
+    L = log(1 + lambda*t)/lambda, so the table of its r-th power is the
+    Stirling-1 transform of the table of poly_bernoulli_gf(k)^r, a power over Q."""
     check_r(r)
-    return stirling1_transform(_values(poly_bernoulli_gf(k, precision) ** r))
+    check_k(k)
+    return _gf(_table("dpb-higher", k, r, precision).values)
 
 
 def binomial_poly(tbl: SequenceTable, n: int) -> Polynomial:
     # sum over l of C(n, l) * value(l) * x^(n-l)
-    out = [None] * (n + 1)
-    for l in range(n + 1):
-        out[n - l] = comb(n, l) * tbl.value(l)
-    return Polynomial(out)
+    return Polynomial._of([comb(n, l) * tbl.value(l) for l in range(n + 1)][::-1])
 
 
 def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
@@ -280,27 +285,31 @@ def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
 
 
 class _Family(NamedTuple):
-    """One family id: ``gf(k, r, precision)`` calls its builder through the
-    module global; ``reads`` names which of k and r the family takes (see
-    ``_read_params``); ``expression`` is its expression-language text,
-    formatted with k and r; ``poly(table, n)`` builds polynomial n, and is
-    None for a family without one."""
+    """One family id: ``values(k, r, precision)`` builds its table from its
+    closed form, through module globals; ``reads`` names which of k and r the
+    family takes (see ``_read_params``); ``expression`` is its
+    expression-language text, formatted with k and r; ``poly(table, n)``
+    builds polynomial n, and is None for a family without one."""
 
-    gf: Callable[[int | None, int, int], Series]
+    values: Callable[[int | None, int, int], Sequence]
     reads: str
     expression: str
     poly: Callable[[SequenceTable, int], Polynomial] | None
 
 
 _FAMILIES = {
-    "bernoulli": _Family(lambda k, r, n: bernoulli_gf(n), "", "t/(exp(t)-1)", binomial_poly),
-    "daehee": _Family(lambda k, r, n: daehee_gf(n), "", "log(1+t)/t", None),
-    "carlitz": _Family(lambda k, r, n: carlitz_gf(n), "", "t/(elam(1)-1)", _carlitz_poly),
-    "poly-bernoulli": _Family(lambda k, r, n: poly_bernoulli_gf(k, n), "k",
+    "bernoulli": _Family(lambda k, r, n: _bernoulli(n), "", "t/(exp(t)-1)", binomial_poly),
+    "daehee": _Family(lambda k, r, n: [Fraction((-1) ** m * factorial(m), m + 1)
+                                       for m in range(n)], "", "log(1+t)/t", None),
+    "carlitz": _Family(lambda k, r, n: _carlitz(n), "", "t/(elam(1)-1)", _carlitz_poly),
+    "poly-bernoulli": _Family(lambda k, r, n: _table("bernoulli", None, 1, n).values
+                              if k == 1 else _kaneko(k, n), "k",
                               "li({k}, 1-exp(-t))/(exp(t)-1)", binomial_poly),
-    "dpb": _Family(lambda k, r, n: dpb_gf(k, n), "k",
+    "dpb": _Family(lambda k, r, n: _table("dpb-higher", k, 1, n).values, "k",
                    "li({k}, 1-elam(-1))/(elam(1)-1)", binomial_poly),
-    "dpb-higher": _Family(lambda k, r, n: dpb_higher_gf(k, r, n), "kr",
+    "dpb-higher": _Family(lambda k, r, n: stirling1_transform(
+        _table("poly-bernoulli", k, 1, n).values if r == 1
+        else _values(poly_bernoulli_gf(k, n) ** r)), "kr",
                           "(li({k}, 1-elam(-1))/(elam(1)-1))^{r}", binomial_poly),
 }
 
@@ -336,7 +345,9 @@ def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
 
 @precision_cache
 def _table(family: str, k: int | None, r: int, precision: int) -> SequenceTable:
-    return SequenceTable(family, k, r, tuple(_values(_FAMILIES[family].gf(k, r, precision))))
+    if precision < 1:
+        raise PrecisionExceeded("a series needs at least one coefficient")
+    return SequenceTable(family, k, r, tuple(_FAMILIES[family].values(k, r, precision)))
 
 
 def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,

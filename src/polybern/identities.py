@@ -289,9 +289,9 @@ def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
                  lam=None) -> Witness | None:
     """Kaneko's sum against Li_k(1 - e^(-t))/(e^t - 1) by series
     composition and division over Q. At k = 1 the series side is
-    t/(e^t - 1) by division, the series route that bernoulli_gf's closed
-    form, from tangent numbers, replaced; the k = 1 table is
-    bernoulli_gf's, so this id also checks it."""
+    t/(e^t - 1) by division, the series route that the bernoulli table's
+    closed form, from tangent numbers, replaced; the k = 1 table is the
+    bernoulli one, so this id also checks it."""
     n = precision + 1
     z = 1 - (-Series.t(n)).exp()
     gf = families.polylog_series(k, n).compose(z).div(Series.t(n).exp() - 1)

@@ -31,6 +31,13 @@ class Polynomial:
         self._coeffs = tuple(trim([coerce_scalar(c) for c in coeffs]))
 
     @classmethod
+    def _of(cls, coeffs: list) -> Polynomial:
+        """Fractions and LambdaPolys the kernel built, trimmed and stored uncoerced."""
+        p = object.__new__(cls)
+        p._coeffs = tuple(trim(coeffs))
+        return p
+
+    @classmethod
     def constant(cls, value) -> Polynomial:
         return cls((coerce_scalar(value),))
 
@@ -59,18 +66,18 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return Polynomial(add_coeffs(self._coeffs, other._coeffs))
+        return Polynomial._of(add_coeffs(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
+        return Polynomial._of([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        return Polynomial([a - b for a, b in zip_longest(self._coeffs, other._coeffs,
-                                                         fillvalue=_ZERO)])
+        return Polynomial._of([a - b for a, b in zip_longest(self._coeffs, other._coeffs,
+                                                             fillvalue=_ZERO)])
 
     def __rsub__(self, other):
         return Polynomial.constant(other) + (-self)
@@ -78,16 +85,16 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = coerce_scalar(other)
-            return Polynomial([c * x for x in self._coeffs])
+            return Polynomial._of([c * x for x in self._coeffs])
         a, b = self._coeffs, other._coeffs
-        return Polynomial(mul_coeffs(a, b, len(a) + len(b) - 1))
+        return Polynomial._of(mul_coeffs(a, b, len(a) + len(b) - 1))
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
         c = coerce_scalar(other)
-        return Polynomial([x / c for x in self._coeffs])
+        return Polynomial._of([x / c for x in self._coeffs])
 
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
@@ -104,7 +111,7 @@ class Polynomial:
     def derivative(self, k: int = 1) -> Polynomial:
         p = self
         for _ in range(k):
-            p = Polynomial([(i + 1) * p._coeffs[i + 1] for i in range(len(p._coeffs) - 1)])
+            p = Polynomial._of([(i + 1) * p._coeffs[i + 1] for i in range(len(p._coeffs) - 1)])
         return p
 
     def __call__(self, y):
@@ -120,11 +127,11 @@ class Polynomial:
             return self
         fact = [factorial(n) for n in range(len(self._coeffs))]
         ys = [1] + [y ** m / fact[m] for m in range(1, len(fact))]
-        return Polynomial(correlate(ys, self._coeffs, len(fact), fact))
+        return Polynomial._of(correlate(ys, self._coeffs, len(fact), fact))
 
     def specialize(self, v) -> Polynomial:
         """Substitute lambda := v in every coefficient."""
-        return Polynomial([lambda_eval(c, v) for c in self._coeffs])
+        return Polynomial._of([lambda_eval(c, v) for c in self._coeffs])
 
     def __str__(self) -> str:
         return format_terms(self._coeffs, "x")

@@ -39,6 +39,15 @@ from .ring import (
 __all__ = ["Series", "invert_constant", "precision_cache", "stirling1_transform"]
 
 
+def check_truncation(size: int, precision: int, what: str = "series"):
+    """Refuse to truncate ``what`` of ``size`` coefficients to ``precision``
+    below 1 or past its end."""
+    if precision < 1:
+        raise PrecisionExceeded(f"precision must be >= 1, got {precision}")
+    if precision > size:
+        raise PrecisionExceeded(f"cannot extend a {what} of precision {size} to {precision}")
+
+
 def invert_constant(c):
     """Multiplicative inverse of an invertible ring constant, else None.
 
@@ -73,6 +82,13 @@ class Series:
         self._coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, coeffs) -> Series:
+        """At least one Fraction or LambdaPoly the kernel built, stored uncoerced."""
+        s = object.__new__(cls)
+        s._coeffs = tuple(coeffs)
+        return s
+
+    @classmethod
     def zero(cls, precision: int) -> Series:
         return cls((), precision)
 
@@ -103,32 +119,29 @@ class Series:
         return iter(self._coeffs)
 
     def truncate(self, precision: int) -> Series:
-        if precision > self.precision:
-            raise PrecisionExceeded(
-                f"cannot extend a series of precision {self.precision} to {precision}"
-            )
-        return self if precision == self.precision else Series(self._coeffs[:precision])
+        check_truncation(self.precision, precision)
+        return self if precision == self.precision else Series._of(self._coeffs[:precision])
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
-            return Series([self._coeffs[i] + other._coeffs[i] for i in range(n)])
+            return Series._of([self._coeffs[i] + other._coeffs[i] for i in range(n)])
         c = coerce_scalar(other)
         out = list(self._coeffs)
         out[0] = out[0] + c
-        return Series(out)
+        return Series._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Series:
-        return Series([-c for c in self._coeffs])
+        return Series._of([-c for c in self._coeffs])
 
     def __sub__(self, other):
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
-            return Series([self._coeffs[i] - other._coeffs[i] for i in range(n)])
+            return Series._of([self._coeffs[i] - other._coeffs[i] for i in range(n)])
         return self + (-coerce_scalar(other))
 
     def __rsub__(self, other):
@@ -137,9 +150,9 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.precision, other.precision)
-            return Series(mul_coeffs(self._coeffs, other._coeffs, n))
+            return Series._of(mul_coeffs(self._coeffs, other._coeffs, n))
         c = coerce_scalar(other)
-        return Series([c * x for x in self._coeffs])
+        return Series._of([c * x for x in self._coeffs])
 
     def __rmul__(self, other):
         return self * other
@@ -149,7 +162,7 @@ class Series:
             raise TypeError("series powers take an integer exponent")
         inv = invert_constant(self._coeffs[0])
         if inv is not None and abs(n) >= 2:
-            return Series(_miller_power(self._coeffs, n, inv))
+            return Series._of(_miller_power(self._coeffs, n, inv))
         if n < 0:
             return Series.one(self.precision).div(self.__pow__(-n))
         return power(self, n, Series.one(self.precision))
@@ -177,7 +190,7 @@ class Series:
         g0 = g[0]
         inv = invert_constant(g0)
         if inv is not None:
-            return Series(_recurrence(g, n, f[0] * inv, 0, -1, f, inv))
+            return Series._of(_recurrence(g, n, f[0] * inv, 0, -1, f, inv))
         if not (isinstance(g0, LambdaPoly) and g0):
             raise NonUnitLeadingCoefficient(
                 f"divisor constant term {format_scalar(g0)} is not invertible"
@@ -192,7 +205,7 @@ class Series:
                     f"coefficient {format_scalar(acc)} is not divisible by {format_scalar(g0)}"
                 )
             out.append(q)
-        return Series(out)
+        return Series._of(out)
 
     __truediv__ = div
 
@@ -217,7 +230,7 @@ class Series:
                         acc[m] = acc[m] + fi * pm
             if i + 1 < n:
                 inner_i = mul_coeffs(inner_i, inner._coeffs, n)
-        return Series(acc)
+        return Series._of(acc)
 
     def revert(self) -> Series:
         """Compositional inverse g with self(g(t)) = g(self(t)) = t."""
@@ -234,7 +247,7 @@ class Series:
         for m in range(2, n):
             u_m = u_m * u
             out[m] = u_m[m - 1] / m
-        return Series(out)
+        return Series._of(out)
 
     # -- transcendental maps -----------------------------------------------
 
@@ -245,7 +258,7 @@ class Series:
                 f"log needs constant term 1, got {format_scalar(self._coeffs[0])}"
             )
         f = self._coeffs
-        return Series(_recurrence(f, len(f), _ZERO, 1, -1, f, 1))
+        return Series._of(_recurrence(f, len(f), _ZERO, 1, -1, f, 1))
 
     def exp(self) -> Series:
         """Formal exponential; needs constant term 0."""
@@ -254,7 +267,7 @@ class Series:
                 f"exp needs constant term 0, got {format_scalar(self._coeffs[0])}"
             )
         f = self._coeffs
-        return Series(_recurrence(f, len(f), Fraction(1), 1, 0, None, 1))
+        return Series._of(_recurrence(f, len(f), Fraction(1), 1, 0, None, 1))
 
     # -- misc ---------------------------------------------------------------
 
@@ -262,11 +275,11 @@ class Series:
         """Coefficient-shift derivative d/dt; precision drops by one."""
         if self.precision < 2:
             raise PrecisionExceeded("cannot differentiate a precision-1 series")
-        return Series([(i + 1) * self._coeffs[i + 1] for i in range(self.precision - 1)])
+        return Series._of([(i + 1) * self._coeffs[i + 1] for i in range(self.precision - 1)])
 
     def specialize(self, v) -> Series:
         """Substitute lambda := v in every coefficient (exact)."""
-        return Series([lambda_eval(c, v) for c in self._coeffs])
+        return Series._of([lambda_eval(c, v) for c in self._coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -320,23 +333,22 @@ def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:
     return g
 
 
-def stirling1_transform(values) -> Series:
-    """f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda, from the
-    table of f over Q (``values[m]`` is m! [x^m] f).
+def stirling1_transform(values) -> list:
+    """The table of f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda,
+    from the table of f over Q (``values[m]`` is m! [x^m] f).
 
     n! [t^n] L^m = m! s(n, m) lambda^(n-m), with s the signed Stirling
-    numbers of the first kind, so table entry n of f(L) is
-    sum_m s(n, m) values[m] lambda^(n-m). The precision is len(values).
+    numbers of the first kind, so entry n is the LambdaPoly
+    sum_m s(n, m) values[m] lambda^(n-m), for n < len(values).
     """
     v = FractionRow()  # entry n reads values[0..n] only, so v grows with n
-    out, row, fact = [], [1], 1  # row n is s(n, 0..n); fact is n!
+    out, row = [], [1]  # row n is s(n, 0..n)
     for n, value in enumerate(values):
         v.append(value)
-        out.append(_normalised([row[m] * v.nums[m] for m in range(n, -1, -1)], v.den * fact))
-        fact *= n + 1
+        out.append(_normalised([row[m] * v.nums[m] for m in range(n, -1, -1)], v.den))
         # s(n+1, m) = s(n, m-1) - n s(n, m)
         row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
-    return Series(out)
+    return out
 
 
 def precision_cache(build):

@@ -54,7 +54,7 @@ def op_apply(f: Series, p: Polynomial) -> Polynomial:
     coefficient is (1/j!) sum_k f_k (j+k)! p_(j+k)."""
     _check_precision(f, p, "operator action")
     fact = [factorial(n) for n in range(len(p.coeffs))]
-    return Polynomial(correlate(f.coeffs, p.coeffs, len(fact), fact))
+    return Polynomial._of(correlate(f.coeffs, p.coeffs, len(fact), fact))
 
 
 @precision_cache

@@ -176,9 +176,9 @@ def rand_polynomial(rng: random.Random, max_degree: int = 6) -> Polynomial:
 
 
 def stirling1_reference(values: list) -> list[list]:
-    """Entry n of f(L), L = log(1 + lambda*t)/lambda, from the table of f, as
-    its trimmed lambda coefficient list: [lambda^(n-m)] is
-    s(n, m) values[m] / n!, with the signed Stirling numbers of the first kind
+    """Table entry n of f(L), L = log(1 + lambda*t)/lambda, from the table of
+    f, as its trimmed lambda coefficient list: [lambda^(n-m)] is
+    s(n, m) values[m], with the signed Stirling numbers of the first kind
     s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m) tabulated in Fractions."""
     count = len(values)
     s = [[Fraction(0)] * (count + 1) for _ in range(count + 1)]
@@ -187,12 +187,10 @@ def stirling1_reference(values: list) -> list[list]:
         for m in range(1, n + 1):
             s[n][m] = s[n - 1][m - 1] - (n - 1) * s[n - 1][m]
     out = []
-    fact = Fraction(1)
     for n in range(count):
-        fact = fact * max(n, 1)
         coeffs = [Fraction(0)] * (n + 1)
         for m in range(n + 1):
-            coeffs[n - m] = coeffs[n - m] + s[n][m] * Fraction(values[m]) / fact
+            coeffs[n - m] = coeffs[n - m] + s[n][m] * Fraction(values[m])
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         out.append(coeffs)

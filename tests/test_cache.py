@@ -8,6 +8,7 @@ import pytest
 
 import polybern
 from polybern import families, identities, umbral
+from polybern.errors import PrecisionExceeded
 from polybern.ring import LambdaPoly
 from polybern.series import Series, precision_cache
 
@@ -80,11 +81,18 @@ def test_one_entry_per_key_across_catalog_orders(monkeypatch):
             assert identities.verify(ident, order=order, nmax=6, max_degree=6).passed
     sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
     assert sizes == {name: len(keys.get(name, ())) for name in caches}
-    assert keys["polybern.families", "dpb_higher_gf"] == {(2, 1), (1, 1), (0, 1)}  # eq5, k0
-    # a table is keyed by the k and r its family reads, never by the order
+    # a table builds no gf: only thm3 and thm4 ask for one, and lambda0 the plain one
+    assert keys["polybern.families", "dpb_higher_gf"] == {(2, 1)}
+    assert keys["polybern.families", "poly_bernoulli_gf"] == {(2,)}
+    assert ("polybern.families", "dpb_gf") not in keys
+    # a table is keyed by the k and r its family reads, never by the order; a
+    # dpb table is the dpb-higher one at r = 1, the transform of poly-bernoulli
+    # (bernoulli at k = 1), and carlitz reads bernoulli
     assert keys["polybern.families", "_table"] == {
         ("dpb", 2, 1), ("dpb", 1, 1), ("dpb", 0, 1), ("dpb-higher", 2, 1),
-        ("daehee", None, 1), ("carlitz", None, 1), ("poly-bernoulli", 2, 1)}
+        ("dpb-higher", 1, 1), ("dpb-higher", 0, 1), ("poly-bernoulli", 2, 1),
+        ("poly-bernoulli", 1, 1), ("poly-bernoulli", 0, 1), ("bernoulli", None, 1),
+        ("daehee", None, 1), ("carlitz", None, 1)}
 
 
 def test_smaller_requests_hit_and_larger_rebuild():
@@ -110,8 +118,9 @@ def test_a_table_is_cached_under_the_k_and_r_its_family_reads():
     assert families.table("bernoulli", 8) == tbl
     assert families.table("dpb", 5, k=2, r=3) == families.table("dpb", 8, k=2).truncate(5)
     assert families.table("dpb", 5, k=2).k == 2
+    # each dpb build also builds its dpb-higher (r = 1) and poly-bernoulli tables
     info = families._table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 3, 2)
+    assert (info.hits, info.misses, info.currsize) == (2, 7, 4)
 
 
 def test_bypass_calls_are_uncached_and_leave_the_cache_alone():
@@ -122,7 +131,8 @@ def test_bypass_calls_are_uncached_and_leave_the_cache_alone():
     assert families.dpb_gf(2) == families.dpb_higher_gf(2, 1, families.DEFAULT_PRECISION)
     assert families.dpb_gf(2, precision=4) == cached.truncate(4)
     assert families.bernoulli_gf().precision == families.DEFAULT_PRECISION
-    assert families.elam(1, 0) == Series.one(1)
+    with pytest.raises(PrecisionExceeded, match="precision must be >= 1, got 0"):
+        families.elam(1, 0)
     assert families.dpb_gf.cache_info() == before
     assert families.elam.cache_info().currsize == 0
     assert families.bernoulli_gf.cache_info().currsize == 0

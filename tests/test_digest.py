@@ -4,9 +4,12 @@ corpus over Q, Q[lambda] and mixed rows up to order 12: the type name and
 EXPONENTS, ``log``, ``exp``, ``compose`` and ``revert``, and the type and
 message of every error they raise. A second digest, OUTPUT_DIGEST, covers
 rendered text: ``format_scalar`` of family tables, ``str`` of family
-polynomials and in-process ``cli.main`` stdout in every format. A kernel or
-render change that keeps every output keeps both; a deliberate change of
-output records the new digest here and its reason in CHANGES.md."""
+polynomials and in-process ``cli.main`` stdout in every format. A third,
+FAMILY_DIGEST, covers the type and text of every entry of every family table
+and every coefficient of every ``*_gf`` builder over a grid of k, r and
+sizes. A kernel, family or render change that keeps every output keeps all
+three; a deliberate change of output records the new digest here and its
+reason in CHANGES.md."""
 
 import contextlib
 import hashlib
@@ -120,3 +123,33 @@ def test_rendered_output_matches_the_recorded_digest():
     for label, text in rendered_outputs():
         h.update(f"{label}\n{text}\n".encode())
     assert h.hexdigest() == OUTPUT_DIGEST
+
+
+# -- family tables and generating functions -------------------------------------
+
+FAMILY_DIGEST = "652d47e0beec45d5ea49eecd62d319ae2ddf36f16a96c9bbe30ecb8ab0b71f4c"
+KS, RS, SIZES = (-3, 0, 1, 2, 5), (1, 2, 3), (1, 2, 3, 17, 64, 128)
+# (family id, builder name, its arguments before the precision, k, r)
+FAMILY_CASES = ([("bernoulli", "bernoulli_gf", (), None, 1),
+                 ("daehee", "daehee_gf", (), None, 1),
+                 ("carlitz", "carlitz_gf", (), None, 1)]
+                + [("poly-bernoulli", "poly_bernoulli_gf", (k,), k, 1) for k in KS]
+                + [("dpb", "dpb_gf", (k,), k, 1) for k in KS]
+                + [("dpb-higher", "dpb_higher_gf", (k, r), k, r) for k in KS for r in RS])
+
+
+def family_outputs():
+    """(label, text) for the table and the gf of every case at every size,
+    sizes ascending, so both the cached builds and their truncations show."""
+    for n in SIZES:
+        for family, builder, args, k, r in FAMILY_CASES:
+            tbl = families.table(family, n, k=k, r=r)
+            yield f"table {family} {k} {r} {n}", record(lambda: tbl.values)
+            yield f"{builder} {args} {n}", record(lambda: getattr(families, builder)(*args, n))
+
+
+def test_family_tables_and_gfs_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for label, text in family_outputs():
+        h.update(f"{label}\n{text}\n".encode())
+    assert h.hexdigest() == FAMILY_DIGEST

@@ -326,6 +326,53 @@ def test_poly_constructor_precision_guard():
         families.polynomial("carlitz", 9, 9)
 
 
+def test_truncate_refuses_what_it_cannot_give():
+    gf, tbl = families.dpb_gf(2, 3), families.table("dpb", 3, k=2)
+    for p in (0, -1, -3):
+        for value in (gf, tbl):
+            with pytest.raises(PrecisionExceeded, match=f"^precision must be >= 1, got {p}$"):
+                value.truncate(p)
+    with pytest.raises(PrecisionExceeded, match="^cannot extend a series of precision 3 to 5$"):
+        gf.truncate(5)
+    with pytest.raises(PrecisionExceeded, match="^cannot extend a table of precision 3 to 5$"):
+        tbl.truncate(5)
+    assert gf.truncate(3) is gf and gf.truncate(2) == Series(gf.coeffs[:2])
+    assert tbl.truncate(3) == tbl and tbl.truncate(2).values == tbl.values[:2]
+
+
+@pytest.mark.parametrize("precision", [0, -2])
+def test_every_builder_refuses_precision_below_one(precision):
+    for build in (lambda: families.elam(1, precision),
+                  lambda: families.polylog_series(2, precision)):
+        with pytest.raises(PrecisionExceeded, match=f"^precision must be >= 1, got {precision}$"):
+            build()
+    for build in (lambda: families.bernoulli_gf(precision), lambda: families.daehee_gf(precision),
+                  lambda: families.carlitz_gf(precision),
+                  lambda: families.poly_bernoulli_gf(2, precision),
+                  lambda: families.dpb_higher_gf(2, 2, precision)):
+        with pytest.raises(PrecisionExceeded):
+            build()
+
+
+def test_a_table_builds_no_gf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a table built a gf: {args}")
+
+    # dpb-higher at r >= 2 takes its power on poly_bernoulli_gf, and carlitz
+    # divides by daehee_gf; no other table reads a gf
+    for name in ("bernoulli_gf", "carlitz_gf", "dpb_gf", "dpb_higher_gf"):
+        monkeypatch.setattr(families, name, refuse)
+    families._table.cache_clear()
+    for family in families.FAMILY_IDS:
+        for r in (1, 2):
+            assert len(families.table(family, 64, k=2, r=r)) == 64, (family, r)
+    monkeypatch.setattr(families, "poly_bernoulli_gf", refuse)
+    families._table.cache_clear()
+    for k in (-3, 1, 5):
+        assert len(families.table("poly-bernoulli", 64, k=k)) == 64, k
+    families._table.cache_clear()
+
+
 def test_unknown_family_and_missing_k():
     with pytest.raises(PolybernError):
         families.table("fibonacci", 4)
