@@ -60,8 +60,8 @@ DEFAULT_PRECISION = 32
 
 # Largest |k| accepted for the polylog order. Table entries carry
 # (m + 1)^|k| for every m below the precision, so their size grows with |k|
-# and an unbounded k never finishes; at |k| = 100 a 64-entry dpb-higher
-# table of order 40 takes about 0.6 s on a 2-vCPU VM, a 128-entry one 9 s.
+# and an unbounded k never finishes; at k = 100 a 64-entry dpb-higher
+# table of order 40 takes about 0.4 s on a 2-vCPU VM, a 128-entry one 5 s.
 MAX_ABS_K = 100
 
 # Largest order r of the higher-order families and identities. The order-r
@@ -191,6 +191,8 @@ def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
 
 def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Sum over n >= 1 of x^n / n^k; for k <= 0 the weights are integers."""
+    if k is None:
+        raise PolybernError("polylog_series needs a polylog order --k")
     check_k(k)
     return Series([Fraction(0)] + [Fraction(n) ** -k for n in range(1, precision)], precision)
 
@@ -247,7 +249,7 @@ def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum; at k = 1,
     where Li_1(1 - e^(-t)) = t, it is bernoulli_gf."""
-    check_k(k)
+    _validate("poly-bernoulli", k, 1)
     return _gf(_table("poly-bernoulli", k, 1, precision).values)
 
 
@@ -255,6 +257,7 @@ def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1),
     dpb_higher_gf at r = 1, whose table the dpb table is."""
+    _validate("dpb", k, 1)
     return dpb_higher_gf(k, 1, precision)
 
 
@@ -263,8 +266,7 @@ def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
     """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
     L = log(1 + lambda*t)/lambda, so the table of its r-th power is the
     Stirling-1 transform of the table of poly_bernoulli_gf(k)^r, a power over Q."""
-    check_r(r)
-    check_k(k)
+    _validate("dpb-higher", k, r)
     return _gf(_table("dpb-higher", k, r, precision).values)
 
 

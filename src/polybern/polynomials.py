@@ -43,6 +43,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> Polynomial:
+        if degree < 0:
+            raise ValueError("monomial degree must be >= 0")
         return cls((0,) * degree + (coerce_scalar(coeff),))
 
     @classmethod
@@ -109,6 +111,8 @@ class Polynomial:
     __hash__ = None
 
     def derivative(self, k: int = 1) -> Polynomial:
+        if k < 0:
+            raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(k):
             p = Polynomial._of([(i + 1) * p._coeffs[i + 1] for i in range(len(p._coeffs) - 1)])

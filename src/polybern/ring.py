@@ -23,6 +23,8 @@ weighted integer rows summed over a running common denominator and reduced
 once, not once per term. The sliding sums of an operator action or a
 translate are one ``correlate``: the polynomial lifted to integer rows
 once, n! folded in, and each output, its divisor j! too, reduced once.
+``dot``, ``correlate`` and every ``LambdaPoly`` product share one inner
+loop, the integer-row multiply-accumulate ``_mac``.
 """
 
 from __future__ import annotations
@@ -100,6 +102,21 @@ class FractionRow:
         self.nums.append(q.numerator * (self.den // d))
 
 
+def _mac(acc: list, a, b, s: int) -> list:
+    """``acc += s * (a convolved with b)`` for integer rows, ``acc`` grown in
+    place and returned: the one inner loop of every product and sum of
+    products over Q[lambda]."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc += [0] * (len(a) + len(b) - 1 - len(acc))
+    for i, u in enumerate(a):
+        if u:
+            u *= s
+            for j, v in enumerate(b, i):
+                acc[j] += u * v
+    return acc
+
+
 def dot(xs, ys, weights=None, divisor: int = 1):
     """``sum_i weights[i] * xs[i] * ys[i] / divisor`` over Fractions, ints and
     LambdaPolys (int weights, all 1 if None; a positive int divisor), summed
@@ -117,20 +134,12 @@ def dot(xs, ys, weights=None, divisor: int = 1):
             b, db = (y.numerator,) if y else (), y.denominator
         if not (a and b and w):
             continue
-        if len(a) > len(b):
-            a, b = b, a
         d = da * db
         if den % d:
             s = d // gcd(den, d)
             acc = [c * s for c in acc]
             den *= s
-        s = den // d * w
-        acc += [0] * (len(a) + len(b) - 1 - len(acc))
-        for i, u in enumerate(a):
-            if u:
-                u *= s
-                for j, v in enumerate(b, i):
-                    acc[j] += u * v
+        _mac(acc, a, b, den // d * w)
     den *= divisor
     if in_q:
         return Fraction(acc[0], den) if acc else _ZERO
@@ -147,24 +156,16 @@ def correlate(xs, ys, count: int, weights=None) -> list:
     w = [1] * max(count, len(ys)) if weights is None else weights
     yr = [[c * (wn * (dy // y._den)) for c in y._num] if type(y) is LambdaPoly
           else [y.numerator * (wn * (dy // y.denominator))] if y else [] for y, wn in zip(ys, w)]
+    xr = [(x._num, x._den) if type(x) is LambdaPoly
+          else ((x.numerator,) if x else (), x.denominator) for x in xs]
     out = []
     for j in range(count):
         acc, den = [], 1
-        for x, b in zip(xs, yr[j:]):
-            a, d = ((x._num, x._den) if type(x) is LambdaPoly
-                    else ((x.numerator,) if x else (), x.denominator))
+        for (a, d), b in zip(xr, yr[j:]):
             if den % d:
                 s = d // gcd(den, d)
                 acc, den = [c * s for c in acc], den * s
-            s = den // d
-            if len(a) > len(b):
-                a, b = b, a
-            acc += [0] * (len(a) + len(b) - 1 - len(acc))
-            for i, u in enumerate(a):
-                if u:
-                    u *= s
-                    for l, v in enumerate(b, i):
-                        acc[l] += u * v
+            _mac(acc, a, b, den // d)
         n = max(0, min(len(xs), len(ys) - j))  # dot(xs, ys[j:]) reads n pairs
         den *= dy * w[j]
         lam = any(type(v) is LambdaPoly for v in (*xs[:n], *ys[j:j + n]))
@@ -389,13 +390,7 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._num, rhs._num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _normalised(out, self._den * rhs._den)
+        return _normalised(_mac([], self._num, rhs._num, 1), self._den * rhs._den)
 
     __rmul__ = __mul__
 

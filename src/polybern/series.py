@@ -161,8 +161,10 @@ class Series:
         if not isinstance(n, int):
             raise TypeError("series powers take an integer exponent")
         inv = invert_constant(self._coeffs[0])
-        if inv is not None and abs(n) >= 2:
-            return Series._of(_miller_power(self._coeffs, n, inv))
+        if inv is not None and abs(n) >= 2:  # Miller's recurrence
+            f = self._coeffs
+            g0 = f[0] ** n if n > 0 else inv ** -n  # a LambdaPoly takes no negative power
+            return Series._of(_recurrence(f, len(f), g0, n + 1, -1, None, inv))
         if n < 0:
             return Series.one(self.precision).div(self.__pow__(-n))
         return power(self, n, Series.one(self.precision))
@@ -293,13 +295,6 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({self})"
-
-
-def _miller_power(f, r: int, inv) -> list:
-    """Coefficients of f^r for an integer r with |r| >= 2 and ``inv`` = 1/f_0,
-    by Miller's recurrence: g_m = (inv/m) sum_(j=1..m) ((r+1) j - m) f_j g_(m-j)."""
-    g0 = f[0] ** r if r > 0 else inv ** -r  # a LambdaPoly takes no negative power
-    return _recurrence(f, len(f), g0, r + 1, -1, None, inv)
 
 
 def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:

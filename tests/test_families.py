@@ -418,6 +418,17 @@ def test_gf_builders_check_k_and_r():
     assert families.dpb_higher_gf(1, families.MAX_R, 3)[0] == 1
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: families.polylog_series(None, 4), "polylog_series"),
+    (lambda: families.poly_bernoulli_gf(None, 4), "family 'poly-bernoulli'"),
+    (lambda: families.dpb_gf(None, 4), "family 'dpb'"),
+    (lambda: families.dpb_higher_gf(None, 2, 4), "family 'dpb-higher'"),
+], ids=["polylog_series", "poly_bernoulli_gf", "dpb_gf", "dpb_higher_gf"])
+def test_gf_builders_refuse_a_missing_k(build, name):
+    with pytest.raises(PolybernError, match=f"^{name} needs a polylog order --k$"):
+        build()
+
+
 def test_every_exported_name_resolves():
     assert polybern.__all__
     assert set(polybern.__all__) <= set(dir(polybern))

@@ -229,9 +229,9 @@ def test_remark_right_side_does_not_use_millers_power(monkeypatch):
               for k in (-2, 3) for r in (2, 3, 40)]
 
     def refuse(*args):
-        raise AssertionError("Miller's power is the production route")
+        raise AssertionError("the triangular recurrence behind Miller's power is used")
 
-    monkeypatch.setattr(series, "_miller_power", refuse)
+    monkeypatch.setattr(series, "_recurrence", refuse)
     for higher, base, r in tables:
         assert check_remark(higher, base, r, 10) is None
 

@@ -154,6 +154,15 @@ def test_monomial_is_canonical_as_built():
         LambdaPoly.monomial(-1)
 
 
+def test_polynomial_refuses_negative_degree_and_derivative_order():
+    with pytest.raises(ValueError, match="^monomial degree must be >= 0$"):
+        Polynomial.monomial(-1, 5)
+    with pytest.raises(ValueError, match="^derivative order must be >= 0$"):
+        Polynomial((1, 2, 3)).derivative(-2)
+    assert Polynomial((1, 2, 3)).derivative(0) == Polynomial((1, 2, 3))
+    assert Polynomial.monomial(0, 5) == Polynomial.constant(5)
+
+
 def test_equality_against_plain_rationals():
     assert lp(Fraction(-3, 4)) == Fraction(-3, 4)
     assert Fraction(-3, 4) == lp(Fraction(-3, 4))
