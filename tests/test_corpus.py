@@ -10,7 +10,9 @@ errors of ``test_cli.test_bad_usage_exits_two``. None is near a documented worst
 
 A change that keeps every output keeps every digest. A deliberate change of
 output re-records the table: ``PYTHONPATH=src python tests/test_corpus.py``
-prints it, to paste over DIGESTS, and the reason goes to CHANGES.md."""
+prints it, to paste over DIGESTS, and the reason goes to CHANGES.md. The
+usage errors and ``--help`` hash argparse's own text, which can differ
+between Python versions."""
 
 from __future__ import annotations
 
