@@ -10,7 +10,9 @@ The table is built first, straight from a closed form: bernoulli from
 tangent numbers, daehee as (-1)^n n!/(n + 1), poly-Bernoulli by Kaneko's
 finite sum (bernoulli at k = 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L)
 with L = log(1 + lambda*t)/lambda, each degenerate table is the
-``series.stirling1_transform`` of a classical one. The only series
+``series.stirling1_transform`` of a classical one. The Stirling triangles
+both sums read depend on neither k nor r, so each is built once per
+session by a cached row builder and shared by every table. The only series
 operations left are carlitz's one division and dpb-higher's ``** r``, both
 over Q. Each ``*_gf`` builder is its cached table over n!; they check k and
 r and refuse a precision below 1, but do not bound it. The series routes
@@ -25,12 +27,13 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
 from .ring import LambdaPoly
-from .series import Series, check_truncation, precision_cache, stirling1_transform
+from .series import Series, Triangle, check_truncation, precision_cache, stirling1_transform
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -61,7 +64,7 @@ DEFAULT_PRECISION = 32
 # Largest |k| accepted for the polylog order. Table entries carry
 # (m + 1)^|k| for every m below the precision, so their size grows with |k|
 # and an unbounded k never finishes; at k = 100 a 64-entry dpb-higher
-# table of order 40 takes about 0.4 s on a 2-vCPU VM, a 128-entry one 5 s.
+# table of order 40 takes about 0.4 s on a 2-vCPU VM, a 128-entry one 5 to 6 s.
 MAX_ABS_K = 100
 
 # Largest order r of the higher-order families and identities. The order-r
@@ -125,6 +128,19 @@ def _gf(values) -> Series:
     return Series._of([v / factorial(n) for n, v in enumerate(values)])
 
 
+@precision_cache
+def _kaneko_rows(count: int) -> Triangle:
+    """Rows 0..count-1 of Kaneko's sum: row n is (-1)^m m! S(n+1, m+1) for
+    m = 0..n, with S the Stirling numbers of the second kind. They do not
+    depend on k, so every ``_kaneko`` of a session reads one build."""
+    rows = [(1,)][:count]
+    for n in range(1, count):
+        row = rows[-1]  # S(n+1, m+1) = (m+1) S(n, m+1) + S(n, m), scaled by (-1)^m m!
+        rows.append(tuple((m + 1) * c - m * prev
+                          for m, (c, prev) in enumerate(zip(row + (0,), (0,) + row))))
+    return Triangle(rows)
+
+
 def _kaneko(k: int, count: int) -> list[Fraction]:
     """PB_0..PB_(count-1), the table of Li_k(1 - e^(-t))/(e^t - 1).
 
@@ -134,8 +150,9 @@ def _kaneko(k: int, count: int) -> list[Fraction]:
     e^(-t)(1 - e^(-t))^m = (1 - e^(-t))^m - (1 - e^(-t))^(m+1), which turns
     m! S(n, m) into m! S(n+1, m+1):
     PB_n = (-1)^n sum_m (-1)^m m! S(n+1, m+1)/(m + 1)^k.
-    Every sum is taken in integers over one common denominator, so each
-    entry reduces once.
+    The rows (-1)^m m! S(n+1, m+1) come from the cached ``_kaneko_rows``;
+    only the weights 1/(m + 1)^k depend on k. Every sum is taken in integers
+    over one common denominator, so each entry reduces once.
     """
     if k > 0:
         den = lcm(*range(1, count + 1)) ** k
@@ -144,13 +161,9 @@ def _kaneko(k: int, count: int) -> list[Fraction]:
         den = 1
         weights = [(m + 1) ** -k for m in range(count)]
     out = []
-    row = [1]  # (-1)^m m! S(n+1, m+1) for m = 0..n
-    for n in range(count):
-        num = sum(c * w for c, w in zip(row, weights))
+    for n, row in enumerate(_kaneko_rows(count)):
+        num = sum(map(mul, row, weights))
         out.append(Fraction(num if n % 2 == 0 else -num, den))
-        # S(n+2, m+1) = (m+1) S(n+1, m+1) + S(n+1, m), scaled by (-1)^m m!
-        row = [(m + 1) * c - m * prev
-               for m, (c, prev) in enumerate(zip(row + [0], [0] + row))]
     return out
 
 

@@ -328,31 +328,15 @@ def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:
     return g
 
 
-def stirling1_transform(values) -> list:
-    """The table of f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda,
-    from the table of f over Q (``values[m]`` is m! [x^m] f).
-
-    n! [t^n] L^m = m! s(n, m) lambda^(n-m), with s the signed Stirling
-    numbers of the first kind, so entry n is the LambdaPoly
-    sum_m s(n, m) values[m] lambda^(n-m), for n < len(values).
-    """
-    v = FractionRow()  # entry n reads values[0..n] only, so v grows with n
-    out, row = [], [1]  # row n is s(n, 0..n)
-    for n, value in enumerate(values):
-        v.append(value)
-        out.append(_normalised([row[m] * v.nums[m] for m in range(n, -1, -1)], v.den))
-        # s(n+1, m) = s(n, m-1) - n s(n, m)
-        row = [prev - n * c for c, prev in zip(row + [0], [0] + row)]
-    return out
-
-
 def precision_cache(build):
-    """Cache a series builder whose last positional argument is the precision.
+    """Cache a builder whose last positional argument is the precision, and
+    whose result (a series, a table or a ``Triangle`` of rows) has a
+    ``precision`` and a ``truncate``.
 
-    Each tuple of the other arguments keeps one series, at the largest
+    Each tuple of the other arguments keeps one result, at the largest
     precision asked for; a smaller request is its exact ``truncate``, as
-    coefficient n of every cached builder depends on n only. Calls that
-    omit the precision, pass keywords or ask for precision < 1 are uncached.
+    entry n of every cached builder depends on n only. Calls that omit the
+    precision, pass keywords or ask for precision < 1 are uncached.
     """
     entries, counts = {}, {"hits": 0, "misses": 0}
     arity = build.__code__.co_argcount
@@ -377,3 +361,46 @@ def precision_cache(build):
     cached.cache_info = lambda: SimpleNamespace(currsize=len(entries), **counts)
     cached.cache_clear = cache_clear
     return cached
+
+
+class Triangle(tuple):
+    """Rows 0..n-1 of a triangle of ints, row i of length i + 1: what a
+    cached row builder returns, truncated by rows as a series is by terms."""
+
+    __slots__ = ()
+
+    precision = property(tuple.__len__)
+
+    def truncate(self, precision: int) -> Triangle:
+        check_truncation(len(self), precision, "triangle")
+        return self if precision == len(self) else Triangle(self[:precision])
+
+
+@precision_cache
+def _stirling1_rows(count: int) -> Triangle:
+    """Rows 0..count-1 of the signed Stirling numbers of the first kind:
+    row n is s(n, 0..n). They do not depend on the values transformed, so
+    every ``stirling1_transform`` of a session reads one build."""
+    rows = [(1,)][:count]
+    for n in range(1, count):
+        row = rows[-1]  # s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m)
+        rows.append(tuple(prev - (n - 1) * c for c, prev in zip(row + (0,), (0,) + row)))
+    return Triangle(rows)
+
+
+def stirling1_transform(values) -> list:
+    """The table of f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda,
+    from the table of f over Q (``values[m]`` is m! [x^m] f).
+
+    n! [t^n] L^m = m! s(n, m) lambda^(n-m), with s the signed Stirling
+    numbers of the first kind, so entry n is the LambdaPoly
+    sum_m s(n, m) values[m] lambda^(n-m), for n < len(values). The rows
+    s(n, 0..n) come from the cached ``_stirling1_rows``; only the products
+    with ``values`` are taken here.
+    """
+    v = FractionRow()  # entry n reads values[0..n] only, so v grows with n
+    out = []
+    for value, row in zip(values, _stirling1_rows(len(values))):
+        v.append(value)
+        out.append(_normalised(list(map(mul, reversed(row), reversed(v.nums))), v.den))
+    return out

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 import polybern
-from polybern import families, identities, umbral
+from polybern import families, identities, series, umbral
 from polybern.errors import PrecisionExceeded
 from polybern.ring import LambdaPoly
 from polybern.series import Series, precision_cache
 
-MODULES = (families, umbral, identities)
+MODULES = (series, families, umbral, identities)
 
 # Every cached builder, with the arguments before its precision.
 BUILDERS = [
@@ -24,6 +24,8 @@ BUILDERS = [
     (families, "dpb_gf", (-2,)),
     (families, "dpb_higher_gf", (2, 3)),
     (families, "_table", ("dpb-higher", 2, 3)),
+    (families, "_kaneko_rows", ()),
+    (series, "_stirling1_rows", ()),
     (umbral, "bernoulli_operator", (2,)),
     (identities, "_dpb_series", (2,)),
     (identities, "_a_series", (-1,)),

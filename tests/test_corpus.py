@@ -96,7 +96,7 @@ def run(argv) -> str:
 
 
 DIGESTS = {
-    '--help': '97357a5564647eef',
+    '--help': 'be462d304c45c2d8',
     'table bernoulli --n 8 --k 2 --r 2 --lambda symbolic --format text': '17cd382669ceb31a',
     'poly bernoulli --n 4 --k -1 --r 3 --lambda symbolic --format text': '1ccd6f27fc686ed1',
     'table bernoulli --n 8 --k 2 --r 2 --lambda symbolic --format json': '6d6c08a8a4ed050e',

@@ -226,6 +226,50 @@ def test_bernoulli_tangent_route_equals_kaneko_and_the_recurrence():
     assert families.table("poly-bernoulli", 40, k=1).values == bern
 
 
+def _stirling2_explicit(n: int, m: int) -> Fraction:
+    """S(n, m) = (1/m!) sum_j (-1)^j C(m, j) (m - j)^n."""
+    return Fraction(sum((-1) ** j * comb(m, j) * (m - j) ** n for j in range(m + 1)),
+                    factorial(m))
+
+
+def test_kaneko_rows_match_the_explicit_stirling2_sum():
+    rows = families._kaneko_rows(41)
+    assert len(rows) == 41
+    for n, row in enumerate(rows):
+        assert {type(c) for c in row} == {int}, n
+        assert list(row) == [(-1) ** m * factorial(m) * _stirling2_explicit(n + 1, m + 1)
+                             for m in range(n + 1)], n
+    assert families._kaneko_rows(0) == ()
+
+
+_TABLE_DIGEST = ("import hashlib\nfrom polybern import families\n"
+                 "def digest(family, n, k, r):\n"
+                 "    values = families.table(family, n, k=k, r=r).values\n"
+                 "    text = repr([(type(v).__name__, str(v)) for v in values])\n"
+                 "    return hashlib.sha256(text.encode()).hexdigest()\n")
+
+
+def test_tables_do_not_depend_on_what_the_row_caches_hold():
+    # one session grows, truncates and regrows both cached triangles; the
+    # table cache is cleared before each build, so every build reads the
+    # rows the earlier ones left
+    builds = [("poly-bernoulli", n, k, 1) for n in (8, 64, 96, 64) for k in (-2, 0, 3)]
+    builds += [("dpb-higher", 24, 2, 3), ("dpb-higher", 16, 2, 3)]
+    session = fresh_python(
+        _TABLE_DIGEST + f"for args in {builds!r}:\n"
+        "    families._table.cache_clear()\n    print(digest(*args))\n"
+        "from polybern import series\n"
+        "print(families._kaneko_rows.cache_info().misses,"
+        " series._stirling1_rows.cache_info().misses)")
+    assert session.returncode == 0, session.stderr
+    *digests, misses = session.stdout.splitlines()
+    assert misses == "3 1"  # Kaneko rows at 8, 64 and 96; Stirling-1 rows at 24
+    for args, got in zip(builds, digests, strict=True):
+        alone = fresh_python(_TABLE_DIGEST + f"print(digest(*{args!r}))")
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout == got + "\n", args
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 128])
 def test_closed_forms_equal_the_series_routes(n):
     t = Series.t(n + 1)  # each division cancels one t

@@ -27,7 +27,7 @@ from polybern.errors import NonUnitLeadingCoefficient, PrecisionExceeded
 from polybern.families import _gf, _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
 from polybern.ring import LAMBDA, LambdaPoly, correlate, dot, power
-from polybern.series import Series, stirling1_transform
+from polybern.series import Series, _stirling1_rows, stirling1_transform
 from polybern.umbral import op_apply, pair, sheffer_failure
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -179,6 +179,18 @@ def test_precision_one(c):
 def test_stirling1_transform_matches_the_fraction_loop(values):
     got = stirling1_transform(values)
     assert [list(c.coeffs) for c in got] == stirling1_reference(values)
+
+
+def test_stirling1_rows_match_the_fraction_triangle():
+    # at values all 1, entry n of the reference lists s(n, n - d) at lambda^d,
+    # trimmed of the zeros s(n, 0) = 0 for n >= 1 leaves at the top
+    reference = stirling1_reference([1] * 41)
+    rows = _stirling1_rows(41)
+    assert len(rows) == 41
+    for n, (row, coeffs) in enumerate(zip(rows, reference)):
+        assert {type(c) for c in row} == {int}, n
+        assert list(row) == (coeffs + [0] * (n + 1 - len(coeffs)))[::-1], n
+    assert _stirling1_rows(0) == ()
 
 
 @pytest.mark.parametrize("r", [2, 3, 40])
