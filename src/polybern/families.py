@@ -10,11 +10,12 @@ The table is built first, straight from a closed form: bernoulli from
 tangent numbers, daehee as (-1)^n n!/(n + 1), poly-Bernoulli by Kaneko's
 finite sum (bernoulli at k = 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L)
 with L = log(1 + lambda*t)/lambda, each degenerate table is the
-``series.stirling1_transform`` of a classical one. The Stirling triangles
-both sums read depend on neither k nor r, so each is built once per
-session by a cached row builder and shared by every table. The only series
-operations left are carlitz's one division and dpb-higher's ``** r``, both
-over Q. Each ``*_gf`` builder is its cached table over n!; they check k and
+``series.stirling1_transform`` of a classical one; carlitz reads the same
+Stirling-1 rows for the transform of B_(m+1)/(m + 1) and for the Cauchy
+numbers. The Stirling triangles these sums read depend on neither k nor r,
+so each is built once per session by a cached row builder and shared by
+every table. The only series operation left is dpb-higher's ``** r``, over
+Q. Each ``*_gf`` builder is its cached table over n!; they check k and
 r and refuse a precision below 1, but do not bound it. The series routes
 these sums replace are kept in ``identities`` as independent oracles.
 
@@ -32,8 +33,15 @@ from typing import NamedTuple
 
 from .errors import PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import LambdaPoly
-from .series import Series, Triangle, check_truncation, precision_cache, stirling1_transform
+from .ring import FractionRow, LambdaPoly, _normalised
+from .series import (
+    Series,
+    Triangle,
+    _stirling1_rows,
+    check_truncation,
+    precision_cache,
+    stirling1_transform,
+)
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -167,14 +175,25 @@ def _kaneko(k: int, count: int) -> list[Fraction]:
     return out
 
 
+def _check_int(value, name: str):
+    """Refuse a ``name`` that is not an int; a bool or an integral float is
+    refused too, before any comparison can let it through."""
+    if type(value) is not int:
+        raise PolybernError(f"{name} must be an integer, got {value!r}")
+
+
 def check_k(k: int | None):
     """Reject a polylog order outside -MAX_ABS_K..MAX_ABS_K; None passes."""
-    if k is not None and abs(k) > MAX_ABS_K:
+    if k is None:
+        return
+    _check_int(k, "polylog order k")
+    if abs(k) > MAX_ABS_K:
         raise PolybernError(f"polylog order k must satisfy |k| <= {MAX_ABS_K}, got {k}")
 
 
 def check_r(r: int):
     """Reject a family order r outside 1..MAX_R."""
+    _check_int(r, "order r")
     if r < 1:
         raise PolybernError(f"order r must be >= 1, got {r}")
     if r > MAX_R:
@@ -183,6 +202,7 @@ def check_r(r: int):
 
 def check_precision(n: int, name: str = "precision", limit: int = MAX_PRECISION):
     """Reject a precision, order or index range ``name`` above ``limit``."""
+    _check_int(n, name)
     if n > limit:
         raise PolybernError(f"{name} must satisfy {name} <= {limit}, got {n}")
 
@@ -229,15 +249,32 @@ def _bernoulli(precision: int) -> list[Fraction]:
 
 def _carlitz(precision: int) -> list:
     """The table of t/((1 + lambda*t)^(1/lambda) - 1) = (t/L) * B(L), with
-    B = bernoulli_gf. It splits as G(lambda*t) + t*F(L). The first term is
-    t/L, with G = t/log(1 + t) = 1/daehee_gf a series over Q. The second has
-    F = (B(x) - 1)/x, whose table is B_(m+1)/(m + 1), so the table of F(L) is
-    one Stirling-1 transform; entry n of t*F(L) is n times its entry n - 1."""
-    bern = _table("bernoulli", None, 1, precision + 1).values
-    f = stirling1_transform([bern[m + 1] / (m + 1) for m in range(precision)])
-    g = Series.one(precision).div(daehee_gf(precision))
-    return [g[0]] + [LambdaPoly.monomial(n, factorial(n) * g[n]) + n * f[n - 1]
-                     for n in range(1, precision)]
+    B = bernoulli_gf. It splits as G(lambda*t) + t*F(L).
+
+    The first term is t/L, with G = t/log(1 + t), whose table is the Cauchy
+    numbers C_n = sum_m s(n, m)/(m + 1) (Comtet, *Advanced Combinatorics*,
+    1974, ch. 5; Merlini, Sprugnoli and Verri, Discrete Math. 306, 2006).
+    The second has F = (B(x) - 1)/x, whose table is b_m = B_(m+1)/(m + 1),
+    so entry n of t*F(L) is n times entry n - 1 of its Stirling-1 transform.
+    Entry n >= 1 is thus n sum_m s(n-1, m) b_m lambda^(n-1-m) + C_n lambda^n.
+    Both sums read the cached rows s(n, 0..n): the first over the running
+    denominator of the b_m, the second over D = lcm(1..precision), as
+    (sum_m s(n, m) D/(m + 1))/D. Each entry is one integer row, reduced once.
+    """
+    bern = _table("bernoulli", None, 1, precision).values
+    rows = _stirling1_rows(precision)
+    d = lcm(*range(1, precision + 1))
+    weights = [d // (m + 1) for m in range(precision)]
+    b = FractionRow()  # entry n reads b_0..b_(n-1) only, so b grows with n
+    out = [Fraction(1)]
+    for n in range(1, precision):
+        b.append(bern[n] / n)
+        den = lcm(b.den, d)
+        scale = n * (den // b.den)
+        num = [scale * c for c in map(mul, reversed(rows[n - 1]), reversed(b.nums))]
+        num.append(den // d * sum(map(mul, rows[n], weights)))
+        out.append(_normalised(num, den))
+    return out
 
 
 @precision_cache
@@ -375,6 +412,7 @@ def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,
     if family in _FAMILIES and _FAMILIES[family].poly is None:
         raise PolybernError(f"family '{family}' has no polynomial form")
     spec = _validate(family, k, r, precision)
+    _check_int(n, "n")
     if not 0 <= n < precision:
         bound = f"exceeds precision {precision}" if n >= 0 else "is negative"
         raise PrecisionExceeded(f"n = {n} {bound}")

@@ -380,7 +380,8 @@ class Triangle(tuple):
 def _stirling1_rows(count: int) -> Triangle:
     """Rows 0..count-1 of the signed Stirling numbers of the first kind:
     row n is s(n, 0..n). They do not depend on the values transformed, so
-    every ``stirling1_transform`` of a session reads one build."""
+    every ``stirling1_transform`` and Carlitz table of a session reads one
+    build."""
     rows = [(1,)][:count]
     for n in range(1, count):
         row = rows[-1]  # s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m)

@@ -12,11 +12,11 @@ import pytest
 
 import polybern
 from conftest import bernoulli_oracle, divide_lists, fresh_python
-from polybern import families, identities
+from polybern import families, identities, series
 from polybern.errors import PolybernError, PrecisionExceeded
 from polybern.polynomials import Polynomial
 from polybern.ring import LambdaPoly, lambda_eval
-from polybern.series import Series
+from polybern.series import Series, stirling1_transform
 
 
 def lp(*coeffs):
@@ -100,6 +100,51 @@ def test_carlitz_specializes_to_bernoulli():
     tbl = families.table("carlitz", n)
     for m in range(n):
         assert lambda_eval(tbl.value(m), 0) == bs[m]
+
+
+def test_cauchy_numbers_equal_the_integral_of_the_falling_factorial():
+    # C_n = n! [t^n] t/log(1 + t) is the lambda^n coefficient of Carlitz entry
+    # n, and C_n = integral over [0, 1] of x(x - 1)...(x - n + 1) dx
+    tbl = families.table("carlitz", 41)
+    falling, cauchy = Polynomial.constant(1), []
+    for n in range(41):
+        cauchy.append(sum(c / (i + 1) for i, c in enumerate(falling.coeffs)))
+        falling = falling * Polynomial((-n, 1))
+    assert cauchy[:5] == [1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 4), Fraction(-19, 30)]
+    assert tbl.value(0) == cauchy[0] and type(tbl.value(0)) is Fraction
+    for n in range(1, 41):
+        assert tbl.value(n).degree == n, n
+        assert tbl.value(n).coeffs[n] == cauchy[n], n
+
+
+def _carlitz_by_series_division(n: int) -> list:
+    """The Carlitz table by its former route: t/log(1 + t) by one series
+    division over Q, plus n times the Stirling-1 transform of B_(m+1)/(m + 1)."""
+    bern = bernoulli_oracle(n + 1)
+    f = stirling1_transform([bern[m + 1] / (m + 1) for m in range(n)])
+    g = Series.one(n).div(Series([Fraction((-1) ** m, m + 1) for m in range(n)]))
+    return [g[0]] + [LambdaPoly.monomial(m, factorial(m) * g[m]) + m * f[m - 1]
+                     for m in range(1, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 128])
+def test_carlitz_table_equals_the_series_division_route(n):
+    got = families.table("carlitz", n).values
+    want = _carlitz_by_series_division(n)
+    assert [(type(v), str(v)) for v in got] == [(type(v), str(v)) for v in want]
+    assert list(got) == want
+
+
+def test_carlitz_table_runs_no_triangular_recurrence(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Carlitz table ran a triangular recurrence")
+
+    monkeypatch.setattr(series, "_recurrence", refuse)
+    for module in (series, families):
+        for fn in vars(module).values():
+            if getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    assert len(families.table("carlitz", 32)) == 32
 
 
 # -- polylog -----------------------------------------------------------------------
@@ -402,9 +447,9 @@ def test_a_table_builds_no_gf(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"a table built a gf: {args}")
 
-    # dpb-higher at r >= 2 takes its power on poly_bernoulli_gf, and carlitz
-    # divides by daehee_gf; no other table reads a gf
-    for name in ("bernoulli_gf", "carlitz_gf", "dpb_gf", "dpb_higher_gf"):
+    # dpb-higher at r >= 2 takes its power on poly_bernoulli_gf; no other
+    # table reads a gf
+    for name in ("bernoulli_gf", "daehee_gf", "carlitz_gf", "dpb_gf", "dpb_higher_gf"):
         monkeypatch.setattr(families, name, refuse)
     families._table.cache_clear()
     for family in families.FAMILY_IDS:
@@ -460,6 +505,23 @@ def test_gf_builders_check_k_and_r():
     assert families.polylog_series(families.MAX_ABS_K, 3)[2] == Fraction(1, 2**100)
     assert families.poly_bernoulli_gf(-families.MAX_ABS_K, 3)[0] == 1
     assert families.dpb_higher_gf(1, families.MAX_R, 3)[0] == 1
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: families.table("dpb", 4, k=2.5), "polylog order k"),
+    (lambda: families.table("dpb", 4, k=True), "polylog order k"),
+    (lambda: families.table("dpb-higher", 4, k=2, r=2.0), "order r"),
+    (lambda: families.table("dpb-higher", 4, k=2, r=True), "order r"),
+    (lambda: families.table("carlitz", 1.5), "precision"),
+    (lambda: families.table("carlitz", False), "precision"),
+    (lambda: families.polynomial("dpb", 1.0, 4, k=2), "n"),
+    (lambda: families.polynomial("carlitz", True, 4), "n"),
+    (lambda: identities.verify("eq5", nmax=2.5), r"nmax \+ 2"),
+], ids=["k-float", "k-bool", "r-float", "r-bool", "precision-float",
+        "precision-bool", "n-float", "n-bool", "verify-nmax-float"])
+def test_library_refuses_a_non_integer_argument(build, name):
+    with pytest.raises(PolybernError, match=f"^{name} must be an integer, got "):
+        build()
 
 
 @pytest.mark.parametrize("build, name", [
