@@ -15,9 +15,10 @@ Stirling-1 rows for the transform of B_(m+1)/(m + 1) and for the Cauchy
 numbers. The Stirling triangles these sums read depend on neither k nor r,
 so each is built once per session by a cached row builder and shared by
 every table. The only series operation left is dpb-higher's ``** r``, over
-Q. Each ``*_gf`` builder is its cached table over n!; they check k and
-r and refuse a precision below 1, but do not bound it. The series routes
-these sums replace are kept in ``identities`` as independent oracles.
+Q. Each ``*_gf`` builder, uncached, is its family's cached table over n!;
+it checks k, r and the precision (an int >= 1, unbounded) on every call.
+The series routes these sums replace are kept in ``identities`` as
+independent oracles.
 
 ``table`` and ``polynomial`` are the checked routes to every family: one
 ``_FAMILIES`` record per family id, and every bound enforced.
@@ -136,6 +137,14 @@ def _gf(values) -> Series:
     return Series._of([v / factorial(n) for n, v in enumerate(values)])
 
 
+def _family_gf(family: str, k: int | None, r: int, precision: int) -> Series:
+    """The gf of a family id, its cached table over n!, every argument checked
+    but the precision unbounded (``_table`` refuses one below 1)."""
+    _validate(family, k, r)
+    _check_int(precision, "precision")
+    return _gf(_table(family, k, r, precision).values)
+
+
 @precision_cache
 def _kaneko_rows(count: int) -> Triangle:
     """Rows 0..count-1 of Kaneko's sum: row n is (-1)^m m! S(n+1, m+1) for
@@ -213,6 +222,7 @@ def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
 
     Coefficient of t^n is c(c - lambda)...(c - (n-1)lambda)/n!.
     """
+    _check_int(precision, "precision")
     c = Fraction(c)
     coeffs: list = [LambdaPoly.constant(1)]
     prod = LambdaPoly.constant(1)
@@ -227,6 +237,7 @@ def polylog_series(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     if k is None:
         raise PolybernError("polylog_series needs a polylog order --k")
     check_k(k)
+    _check_int(precision, "precision")
     return Series([Fraction(0)] + [Fraction(n) ** -k for n in range(1, precision)], precision)
 
 
@@ -277,47 +288,38 @@ def _carlitz(precision: int) -> list:
     return out
 
 
-@precision_cache
 def bernoulli_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/(e^t - 1); entry n of the table is the Bernoulli number B_n."""
-    return _gf(_table("bernoulli", None, 1, precision).values)
+    return _family_gf("bernoulli", None, 1, precision)
 
 
-@precision_cache
 def daehee_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """log(1 + t)/t, whose t^n coefficient is (-1)^n/(n + 1)."""
-    return _gf(_table("daehee", None, 1, precision).values)
+    return _family_gf("daehee", None, 1, precision)
 
 
-@precision_cache
 def carlitz_gf(precision: int = DEFAULT_PRECISION) -> Series:
     """t/((1 + lambda*t)^(1/lambda) - 1), the Carlitz degenerate Bernoulli gf."""
-    return _gf(_table("carlitz", None, 1, precision).values)
+    return _family_gf("carlitz", None, 1, precision)
 
 
-@precision_cache
 def poly_bernoulli_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - e^(-t)) / (e^t - 1), over Q, from Kaneko's sum; at k = 1,
     where Li_1(1 - e^(-t)) = t, it is bernoulli_gf."""
-    _validate("poly-bernoulli", k, 1)
-    return _gf(_table("poly-bernoulli", k, 1, precision).values)
+    return _family_gf("poly-bernoulli", k, 1, precision)
 
 
-@precision_cache
 def dpb_gf(k: int, precision: int = DEFAULT_PRECISION) -> Series:
     """Li_k(1 - (1+lambda*t)^(-1/lambda)) / ((1+lambda*t)^(1/lambda) - 1),
     dpb_higher_gf at r = 1, whose table the dpb table is."""
-    _validate("dpb", k, 1)
-    return dpb_higher_gf(k, 1, precision)
+    return _family_gf("dpb", k, 1, precision)
 
 
-@precision_cache
 def dpb_higher_gf(k: int, r: int, precision: int = DEFAULT_PRECISION) -> Series:
     """dpb_gf(k)^r. dpb_gf is poly_bernoulli_gf(k) composed with
     L = log(1 + lambda*t)/lambda, so the table of its r-th power is the
     Stirling-1 transform of the table of poly_bernoulli_gf(k)^r, a power over Q."""
-    _validate("dpb-higher", k, r)
-    return _gf(_table("dpb-higher", k, r, precision).values)
+    return _family_gf("dpb-higher", k, r, precision)
 
 
 def binomial_poly(tbl: SequenceTable, n: int) -> Polynomial:

@@ -365,6 +365,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     if nmax < 0:
         raise PolybernError(f"nmax must be >= 0, got {nmax}")
     n_random = 3 if n_random is None else n_random
+    families._check_int(n_random, "n_random")
     if not 1 <= n_random <= MAX_RANDOM:
         raise PolybernError(f"n_random must satisfy 1 <= n_random <= {MAX_RANDOM}, got {n_random}")
     max_degree = 8 if max_degree is None else max_degree

@@ -1,16 +1,17 @@
 """Polynomials in a single variable x over Q or Q[lambda], on the dense
-coefficient kernel of ``ring``; a translate is one ``ring.correlate``."""
+coefficient kernel of ``ring``; each coefficient of a translate is one
+``ring.dot``."""
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import factorial
+from math import comb
 
 from .ring import (
     _ZERO,
     add_coeffs,
     coerce_scalar,
-    correlate,
+    dot,
     format_terms,
     horner,
     lambda_eval,
@@ -124,14 +125,15 @@ class Polynomial:
 
     def shift(self, y) -> Polynomial:
         """The polynomial q with q(x) = p(x + y), by binomial re-expansion:
-        q_j = sum_n C(n, j) y^(n-j) p_n = (1/j!) sum_m (y^m/m!) (m+j)! p_(m+j),
-        one ``correlate`` of the row y^m/m! with p under the weights n!."""
+        q_j = sum_m C(m+j, j) y^m p_(m+j), one ``dot`` of the powers y^m with
+        p under small int weights."""
         y = coerce_scalar(y)
         if not y:
             return self
-        fact = [factorial(n) for n in range(len(self._coeffs))]
-        ys = [1] + [y ** m / fact[m] for m in range(1, len(fact))]
-        return Polynomial._of(correlate(ys, self._coeffs, len(fact), fact))
+        p = self._coeffs
+        ys = [1] + [y ** m for m in range(1, len(p))]
+        return Polynomial._of([dot(ys, p[j:], [comb(m + j, j) for m in range(len(p) - j)])
+                               for j in range(len(p))])
 
     def specialize(self, v) -> Polynomial:
         """Substitute lambda := v in every coefficient."""

@@ -18,13 +18,11 @@ and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
 the one recurrence and the Stirling-1 transform of ``series``) runs on
 ``FractionRow``s of integers and reduces each output coefficient once.
 Over Q[lambda] and mixed rows, each sum of products behind an output
-coefficient (of a product, a pairing or that recurrence) is one ``dot``:
-weighted integer rows summed over a running common denominator and reduced
-once, not once per term. The sliding sums of an operator action or a
-translate are one ``correlate``: the polynomial lifted to integer rows
-once, n! folded in, and each output, its divisor j! too, reduced once.
-``dot``, ``correlate`` and every ``LambdaPoly`` product share one inner
-loop, the integer-row multiply-accumulate ``_mac``.
+coefficient (of a product, a pairing, an operator action, a translate or
+that recurrence) is one ``dot``: weighted integer rows summed over a
+running common denominator and reduced once, not once per term. ``dot`` and
+every ``LambdaPoly`` product share one inner loop, the integer-row
+multiply-accumulate ``_mac``.
 """
 
 from __future__ import annotations
@@ -144,33 +142,6 @@ def dot(xs, ys, weights=None, divisor: int = 1):
     if in_q:
         return Fraction(acc[0], den) if acc else _ZERO
     return _normalised(acc, den)
-
-
-def correlate(xs, ys, count: int, weights=None) -> list:
-    """``[dot(xs, ys[j:]) for j in range(count)]``, values and result types
-    alike: ys lifted once to integer rows over one common denominator, xs
-    (whose denominators can grow along the row) over a running one as in
-    ``dot``. With positive int ``weights``, one per entry of ys and count <=
-    len(ys), output j is ``sum_k xs[k] * weights[j+k] * ys[j+k] / weights[j]``."""
-    dy = lcm(*[y._den if type(y) is LambdaPoly else y.denominator for y in ys])
-    w = [1] * max(count, len(ys)) if weights is None else weights
-    yr = [[c * (wn * (dy // y._den)) for c in y._num] if type(y) is LambdaPoly
-          else [y.numerator * (wn * (dy // y.denominator))] if y else [] for y, wn in zip(ys, w)]
-    xr = [(x._num, x._den) if type(x) is LambdaPoly
-          else ((x.numerator,) if x else (), x.denominator) for x in xs]
-    out = []
-    for j in range(count):
-        acc, den = [], 1
-        for (a, d), b in zip(xr, yr[j:]):
-            if den % d:
-                s = d // gcd(den, d)
-                acc, den = [c * s for c in acc], den * s
-            _mac(acc, a, b, den // d)
-        n = max(0, min(len(xs), len(ys) - j))  # dot(xs, ys[j:]) reads n pairs
-        den *= dy * w[j]
-        lam = any(type(v) is LambdaPoly for v in (*xs[:n], *ys[j:j + n]))
-        out.append(_normalised(acc, den) if lam else Fraction(acc[0], den) if acc else _ZERO)
-    return out
 
 
 def mul_coeffs(a, b, n: int) -> list:

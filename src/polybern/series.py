@@ -336,14 +336,15 @@ def precision_cache(build):
     Each tuple of the other arguments keeps one result, at the largest
     precision asked for; a smaller request is its exact ``truncate``, as
     entry n of every cached builder depends on n only. Calls that omit the
-    precision, pass keywords or ask for precision < 1 are uncached.
+    precision, pass keywords or ask for a precision below 1 or not an int
+    are uncached, left to the builder to refuse.
     """
     entries, counts = {}, {"hits": 0, "misses": 0}
     arity = build.__code__.co_argcount
 
     @wraps(build)
     def cached(*args, **kwargs):
-        if kwargs or len(args) != arity or args[-1] < 1:
+        if kwargs or len(args) != arity or type(args[-1]) is not int or args[-1] < 1:
             return build(*args, **kwargs)
         key, precision = args[:-1], args[-1]
         entry = entries.get(key)

@@ -2,22 +2,22 @@
 
 A series f acts on polynomials two ways: as a linear functional via
 <f|p> = sum_n p_n * n! * [t^n]f, and as an operator via t^k p = p^(k).
-Both read the row n! p_n, on which t^k is a shift by k, so a pairing is
-one ``ring.dot`` and an action one ``ring.correlate``, p lifted to integers
-once and each output reduced once. The measure-style integral on
-polynomials is realized exactly as the pairing against (t/(e^t - 1))^r,
-which takes x^n to the Bernoulli number B_n when r = 1.
+A pairing is one ``ring.dot`` over the row n! p_n, on which t^k is a shift
+by k; each coefficient of an action is one ``ring.dot`` too, reduced once.
+The measure-style integral on polynomials is realized exactly as the
+pairing against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number
+B_n when r = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import correlate, dot, format_scalar
+from .ring import dot, format_scalar
 from .series import Series, invert_constant, precision_cache
 
 __all__ = [
@@ -51,10 +51,11 @@ def pair(f: Series, p: Polynomial):
 
 def op_apply(f: Series, p: Polynomial) -> Polynomial:
     """f(t) acting on p: sum_k ([t^k]f) * (k-th derivative of p), whose x^j
-    coefficient is (1/j!) sum_k f_k (j+k)! p_(j+k)."""
+    coefficient is sum_k f_k (j+k)!/j! p_(j+k), one ``dot`` of f with p."""
     _check_precision(f, p, "operator action")
-    fact = [factorial(n) for n in range(len(p.coeffs))]
-    return Polynomial._of(correlate(f.coeffs, p.coeffs, len(fact), fact))
+    c = p.coeffs
+    return Polynomial._of([dot(f.coeffs, c[j:], [perm(j + k, k) for k in range(len(c) - j)])
+                           for j in range(len(c))])
 
 
 @precision_cache

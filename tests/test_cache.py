@@ -1,4 +1,5 @@
-"""The one precision-monotone cache behind every series builder."""
+"""The one precision-monotone cache behind the cached builders, and the
+uncached ``*_gf`` builders read over it."""
 
 import ast
 from fractions import Fraction
@@ -8,13 +9,17 @@ import pytest
 
 import polybern
 from polybern import families, identities, series, umbral
-from polybern.errors import PrecisionExceeded
+from polybern.errors import PolybernError, PrecisionExceeded
 from polybern.ring import LambdaPoly
 from polybern.series import Series, precision_cache
 
 MODULES = (series, families, umbral, identities)
 
-# Every cached builder, with the arguments before its precision.
+# The gf builders of families: each reads its family's cached table and
+# checks its arguments on every call, so none is cached itself.
+GFS = ("bernoulli_gf", "daehee_gf", "carlitz_gf", "poly_bernoulli_gf", "dpb_gf", "dpb_higher_gf")
+
+# Every builder that takes a precision last, with the arguments before it.
 BUILDERS = [
     (families, "elam", (Fraction(-1, 2),)),
     (families, "bernoulli_gf", ()),
@@ -47,7 +52,8 @@ def _clear_caches():
 
 def test_builder_list_names_every_cache():
     found = {(module.__name__, name) for module in MODULES for name in _cached(module)}
-    assert found == {(module.__name__, name) for module, name, _ in BUILDERS}
+    assert found == {(module.__name__, name) for module, name, _ in BUILDERS
+                     if name not in GFS}
 
 
 @pytest.mark.parametrize("module, name, args", BUILDERS,
@@ -76,6 +82,8 @@ def test_one_entry_per_key_across_catalog_orders(monkeypatch):
     for module in MODULES:
         for name, fn in _cached(module).items():
             spy(module, name, fn)
+    for name in GFS:
+        spy(families, name, getattr(families, name))
     # identities calls the operator through its own import of the name
     spy(identities, "bernoulli_operator", caches["polybern.umbral", "bernoulli_operator"])
     for order in range(8, 25, 4):
@@ -99,7 +107,7 @@ def test_one_entry_per_key_across_catalog_orders(monkeypatch):
 
 def test_smaller_requests_hit_and_larger_rebuild():
     _clear_caches()
-    build = families.dpb_gf
+    build = families.elam
     first = build(2, 8)
     assert build(2, 8) is first
     assert build(2, 5) == first.truncate(5)
@@ -127,20 +135,22 @@ def test_a_table_is_cached_under_the_k_and_r_its_family_reads():
 
 def test_bypass_calls_are_uncached_and_leave_the_cache_alone():
     _clear_caches()
-    cached = families.dpb_gf(2, 8)
-    before = families.dpb_gf.cache_info()
-    # default precision, keyword precision, precision below 1
-    assert families.dpb_gf(2) == families.dpb_higher_gf(2, 1, families.DEFAULT_PRECISION)
-    assert families.dpb_gf(2, precision=4) == cached.truncate(4)
-    assert families.bernoulli_gf().precision == families.DEFAULT_PRECISION
+    build = families.elam
+    cached = build(1, 8)
+    before = build.cache_info()
+    # default precision, keyword precision, precision below 1 or not an int
+    assert build(1).truncate(8) == cached
+    assert build(1).precision == families.DEFAULT_PRECISION
+    assert build(1, precision=4) == cached.truncate(4)
     with pytest.raises(PrecisionExceeded, match="precision must be >= 1, got 0"):
-        families.elam(1, 0)
-    assert families.dpb_gf.cache_info() == before
-    assert families.elam.cache_info().currsize == 0
-    assert families.bernoulli_gf.cache_info().currsize == 0
-    assert families.dpb_gf(2, 8) is cached
-    assert families.dpb_gf(2, 16).truncate(8) == cached
-    assert families.elam(1, 3) == Series([1, 1, LambdaPoly([Fraction(1, 2), Fraction(-1, 2)])])
+        build(1, 0)
+    for precision in (2.5, 8.0, True):
+        with pytest.raises(PolybernError, match="^precision must be an integer, got "):
+            build(1, precision)
+    assert build.cache_info() == before
+    assert build(1, 8) is cached
+    assert build(1, 16).truncate(8) == cached
+    assert build(1, 3) == Series([1, 1, LambdaPoly([Fraction(1, 2), Fraction(-1, 2)])])
 
 
 def test_decorator_keeps_the_name_and_caches_by_the_other_arguments():

@@ -517,8 +517,24 @@ def test_gf_builders_check_k_and_r():
     (lambda: families.polynomial("dpb", 1.0, 4, k=2), "n"),
     (lambda: families.polynomial("carlitz", True, 4), "n"),
     (lambda: identities.verify("eq5", nmax=2.5), r"nmax \+ 2"),
+    (lambda: identities.verify("thm2", n_random=2.5), "n_random"),
+    (lambda: families.polylog_series(2, 2.5), "precision"),
+    # a cached builder keys (2.0,) and (True,) as (2,) and (1,): each call
+    # is checked after an equal key was built, and a float never reaches
+    # the cache lookup
+    (lambda: [families.elam(1, p) for p in (8, 2.5)], "precision"),
+    (lambda: [families.dpb_gf(k, 4) for k in (2, 2.0)], "polylog order k"),
+    (lambda: [families.dpb_gf(k, 4) for k in (1, True)], "polylog order k"),
+    (lambda: [families.poly_bernoulli_gf(k, 4) for k in (2, 2.0)], "polylog order k"),
+    (lambda: [families.dpb_higher_gf(2, r, 4) for r in (2, 2.0)], "order r"),
+    (lambda: [families.dpb_gf(2, p) for p in (8, 4.5)], "precision"),
+    (lambda: [families.carlitz_gf(p) for p in (8, 4.0)], "precision"),
+    (lambda: [families.bernoulli_gf(p) for p in (8, True)], "precision"),
 ], ids=["k-float", "k-bool", "r-float", "r-bool", "precision-float",
-        "precision-bool", "n-float", "n-bool", "verify-nmax-float"])
+        "precision-bool", "n-float", "n-bool", "verify-nmax-float", "verify-n_random-float",
+        "polylog-precision-float", "elam-precision-float", "gf-k-float", "gf-k-bool",
+        "plain-gf-k-float", "gf-r-float", "gf-precision-float", "carlitz-gf-precision-float",
+        "gf-precision-bool"])
 def test_library_refuses_a_non_integer_argument(build, name):
     with pytest.raises(PolybernError, match=f"^{name} must be an integer, got "):
         build()

@@ -1,9 +1,8 @@
 """The exact series kernel (integer rows over Q; the one triangular
 recurrence behind a quotient, Miller's power, log and exp; the Stirling-1
 transform; the Q[lambda] sum of products ``ring.dot``, with int weights,
-under that recurrence and pairing, and its sliding form ``ring.correlate``
-under operator action and translation) against the independent oracles of
-conftest, over Q, Q[lambda] and mixed rows."""
+under that recurrence, pairing, operator action and translation) against
+the independent oracles of conftest, over Q, Q[lambda] and mixed rows."""
 
 from fractions import Fraction
 from math import factorial
@@ -26,7 +25,7 @@ from conftest import (
 from polybern.errors import NonUnitLeadingCoefficient, PrecisionExceeded
 from polybern.families import _gf, _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
-from polybern.ring import LAMBDA, LambdaPoly, correlate, dot, power
+from polybern.ring import LAMBDA, LambdaPoly, dot, power
 from polybern.series import Series, _stirling1_rows, stirling1_transform
 from polybern.umbral import op_apply, pair, sheffer_failure
 
@@ -249,46 +248,49 @@ def exact(values) -> list:
     return [(type(v), v) for v in values]
 
 
-def factorials(n: int) -> list:
-    return [factorial(m) for m in range(n)]
+def sliding(f, p) -> list:
+    """Coefficient j of the action of f on p as (1/j!) sum_k f_k (j+k)! p_(j+k),
+    one ``dot`` over the row n! p_n and one division per output, trimmed."""
+    scaled = [factorial(n) * c for n, c in enumerate(p)]
+    return trimmed([dot(f, scaled[j:]) / factorial(j) for j in range(len(p))])
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(*[st.lists(
-    st.one_of(SCALARS[ring], WIDE[ring], st.just(LambdaPoly())), max_size=7)] * 2)),
-    st.integers(0, 9))
-def test_correlate_is_the_sliding_dot(case, count):
-    xs, ys = case
-    assert exact(correlate(xs, ys, count)) == exact(
-        [dot(xs, ys[j:]) for j in range(count)])
+def exp_row(y, n: int) -> list:
+    """y^m/m! for m < n: the translate by y is the action of e^(y t)."""
+    ys = [Fraction(1)]
+    for m in range(1, n):
+        ys.append(ys[-1] * y / m)
+    return ys
+
+
+def assert_action_and_translate_are_sliding_dots(f, p, y):
+    """op_apply and shift against the loops, with the exact type of every
+    coefficient pinned against the factorial-weighted sliding ``dot``."""
+    f, p = Series(f), Polynomial(p)
+    c = list(p.coeffs)
+    action = op_apply(f, p)
+    assert action == Polynomial(op_apply_list(list(f), c))
+    assert exact(action.coeffs) == exact(sliding(list(f), c))
+    shifted = p.shift(y)
+    assert shifted == Polynomial(shift_list(c, y))
+    if y:  # a zero y returns p as it is
+        assert exact(shifted.coeffs) == exact(sliding(exp_row(y, len(c)), c))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(SCALARS)).flatmap(lambda ring: st.tuples(
     st.lists(st.one_of(SCALARS[ring], WIDE[ring]), min_size=8, max_size=8),
-    st.lists(st.one_of(SCALARS[ring], WIDE[ring]), max_size=8),
+    st.lists(st.one_of(SCALARS[ring], WIDE[ring], st.just(LambdaPoly())), max_size=8),
     st.one_of(SCALARS[ring], WIDE[ring]))))
-def test_factorial_weights_give_operator_action_and_translate(case):
-    f, p, y = case
-    n = len(p)
-    got = correlate(f, p, n, factorials(n))
-    assert got == op_apply_list(f, p)
-    scaled = [factorial(m) * c for m, c in enumerate(p)]
-    assert exact(got) == exact([dot(f, scaled[j:]) / factorial(j) for j in range(n)])
-    ys = [Fraction(1)]
-    for m in range(1, n):
-        ys.append(ys[-1] * y / m)
-    assert correlate(ys, p, n, factorials(n)) == shift_list(p, y)
+def test_operator_action_and_translate_are_the_weighted_sliding_dot(case):
+    assert_action_and_translate_are_sliding_dots(*case)
 
 
 @pytest.mark.parametrize("p", [[], [Fraction(3, 4)], [LambdaPoly([0, 2])], [LambdaPoly()],
                                [Fraction(0), LambdaPoly(), Fraction(5)]])
-def test_correlate_takes_empty_and_degree_zero_rows(p):
-    f = [LAMBDA, Fraction(1, 3), Fraction(2)]
-    assert exact(correlate(f, p, len(p))) == exact([dot(f, p[j:]) for j in range(len(p))])
-    scaled = [factorial(n) * c for n, c in enumerate(p)]
-    assert exact(correlate(f, p, len(p), factorials(len(p)))) == exact(
-        [dot(f, scaled[j:]) / factorial(j) for j in range(len(p))])
+def test_action_and_translate_take_empty_and_degree_zero_rows(p):
+    for y in (Fraction(-2, 3), LAMBDA):
+        assert_action_and_translate_are_sliding_dots([LAMBDA, Fraction(1, 3), Fraction(2)], p, y)
 
 
 def test_a_q_window_stays_in_q_after_a_later_lambda_entry():
@@ -298,11 +300,14 @@ def test_a_q_window_stays_in_q_after_a_later_lambda_entry():
     got = op_apply(f, p)
     assert [type(c) for c in got.coeffs] == [LambdaPoly, LambdaPoly, Fraction]
     assert got == Polynomial(op_apply_list(list(f), list(p.coeffs)))
-    assert exact(correlate([Fraction(1), LAMBDA], [Fraction(2), Fraction(3)], 2)) == exact(
+    p = Polynomial([Fraction(2), Fraction(3)])
+    assert exact(op_apply(Series([Fraction(1), LAMBDA]), p).coeffs) == exact(
         [LambdaPoly([2, 3]), Fraction(3)])
     # a zero LambdaPoly in the window still makes the output a LambdaPoly, as in dot
-    assert exact(correlate([Fraction(1), LambdaPoly()], [Fraction(2), Fraction(3)], 2)) == exact(
+    assert exact(op_apply(Series([Fraction(1), LambdaPoly()]), p).coeffs) == exact(
         [LambdaPoly([2]), Fraction(3)])
+    assert exact(Polynomial([LambdaPoly(), Fraction(3)]).shift(Fraction(1, 2)).coeffs) == exact(
+        [LambdaPoly([Fraction(3, 2)]), Fraction(3)])
     shifted = Polynomial([Fraction(1), Fraction(2)]).shift(LAMBDA)
     assert [type(c) for c in shifted.coeffs] == [LambdaPoly, Fraction]
 
