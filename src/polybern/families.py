@@ -127,9 +127,10 @@ class SequenceTable:
         return self.values[n]
 
 
-def _values(gf: Series) -> list:
-    """The table of a gf: entry n is n! [t^n] gf."""
-    return [factorial(n) * c for n, c in enumerate(gf)]
+def _values(coeffs) -> list:
+    """The row n! c_n of a coefficient row: the table of a gf, or the row of
+    a polynomial on which ``umbral``'s t^k acts as a shift by k."""
+    return [factorial(n) * c for n, c in enumerate(coeffs)]
 
 
 def _gf(values) -> Series:

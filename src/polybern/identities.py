@@ -353,6 +353,13 @@ _CATALOG = {
 CATALOG_IDS = tuple(_CATALOG)
 
 
+def _check_rational(value, name: str):
+    """``value`` if it is an int (not a bool) or a Fraction, else refused."""
+    if type(value) not in (int, Fraction):
+        raise PolybernError(f"{name} must be an integer or a Fraction, got {value!r}")
+    return value
+
+
 def verify(ident: str, *, k: int | None = None, r: int | None = None,
            nmax: int | None = None, order: int | None = None, ys=None,
            lam=None, seed: int = 0, n_random: int | None = None,
@@ -362,6 +369,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     if entry is None:
         raise UnknownIdentity(f"unknown identity '{ident}'")
     nmax = 8 if nmax is None else nmax
+    families._check_int(nmax, "nmax")
     if nmax < 0:
         raise PolybernError(f"nmax must be >= 0, got {nmax}")
     n_random = 3 if n_random is None else n_random
@@ -369,6 +377,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     if not 1 <= n_random <= MAX_RANDOM:
         raise PolybernError(f"n_random must satisfy 1 <= n_random <= {MAX_RANDOM}, got {n_random}")
     max_degree = 8 if max_degree is None else max_degree
+    families._check_int(max_degree, "max_degree")
     if max_degree < 0:
         raise PolybernError(f"max_degree must be >= 0, got {max_degree}")
     limit = families.MAX_CHECK_PRECISION
@@ -381,7 +390,8 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     families.check_k(k)
     r = 1 if r is None else r
     families.check_r(r)
-    lam = None if lam is None else Fraction(lam)
+    lam = None if lam is None else Fraction(_check_rational(lam, "lam"))
+    ys = None if ys is None else tuple(_check_rational(y, f"ys[{i}]") for i, y in enumerate(ys))
 
     a = SimpleNamespace(k=2 if k is None else k, r=r, nmax=nmax, rng=random.Random(seed),
                         n_random=n_random, max_degree=max_degree, seed=seed, lam=lam, ys=None)
@@ -390,7 +400,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
                                      if name in entry.params)
     if "ys" in entry.params:
         # drawn before any test polynomial
-        a.ys = tuple(ys) if ys is not None else DEFAULT_YS + (_random_rational(a.rng),)
+        a.ys = ys if ys is not None else DEFAULT_YS + (_random_rational(a.rng),)
     witness = entry.run(a)
     params = {"lambda": "symbolic" if lam is None else format_scalar(lam)}
     params.update((name, getattr(a, name)) for name in entry.params)

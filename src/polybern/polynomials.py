@@ -1,21 +1,18 @@
-"""Polynomials in a single variable x over Q or Q[lambda], on the dense
-coefficient kernel of ``ring``; each coefficient of a translate is one
-``ring.dot``."""
+"""Polynomials in a single variable x over Q or Q[lambda]: a ``ring.DenseRow``
+whose sums keep the longer row and whose products keep every term, trimmed
+of trailing zeros. Each coefficient of a translate is one ``ring.dot``."""
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import comb
 
 from .ring import (
     _ZERO,
-    add_coeffs,
+    DenseRow,
     coerce_scalar,
     dot,
     format_terms,
     horner,
-    lambda_eval,
-    mul_coeffs,
     power,
     trim,
 )
@@ -23,20 +20,13 @@ from .ring import (
 __all__ = ["Polynomial"]
 
 
-class Polynomial:
+class Polynomial(DenseRow):
     """Dense polynomial in x, low degree first, trailing zeros trimmed."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self._coeffs = tuple(trim([coerce_scalar(c) for c in coeffs]))
-
-    @classmethod
-    def _of(cls, coeffs: list) -> Polynomial:
-        """Fractions and LambdaPolys the kernel built, trimmed and stored uncoerced."""
-        p = object.__new__(cls)
-        p._coeffs = tuple(trim(coeffs))
-        return p
+        self._coeffs = self._fit([coerce_scalar(c) for c in coeffs])
 
     @classmethod
     def constant(cls, value) -> Polynomial:
@@ -53,10 +43,6 @@ class Polynomial:
         return cls((0, 1))
 
     @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    @property
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
@@ -66,34 +52,21 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        return Polynomial._of(add_coeffs(self._coeffs, other._coeffs))
+    # -- ring operations: DenseRow's, trimmed and at full length ------------
 
-    __radd__ = __add__
+    @staticmethod
+    def _fit(coeffs: list) -> tuple:
+        return tuple(trim(coeffs))
 
-    def __neg__(self) -> Polynomial:
-        return Polynomial._of([-c for c in self._coeffs])
+    _sum_length = max
 
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        return Polynomial._of([a - b for a, b in zip_longest(self._coeffs, other._coeffs,
-                                                             fillvalue=_ZERO)])
+    @staticmethod
+    def _product_length(m: int, n: int) -> int:
+        return m + n - 1
 
-    def __rsub__(self, other):
-        return Polynomial.constant(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = coerce_scalar(other)
-            return Polynomial._of([c * x for x in self._coeffs])
-        a, b = self._coeffs, other._coeffs
-        return Polynomial._of(mul_coeffs(a, b, len(a) + len(b) - 1))
-
-    def __rmul__(self, other):
-        return self * other
+    # bench/tracer.py patches these names in the class's own namespace
+    __mul__ = DenseRow.__mul__
+    specialize = DenseRow.specialize
 
     def __truediv__(self, other):
         c = coerce_scalar(other)
@@ -109,14 +82,12 @@ class Polynomial:
             other = Polynomial.constant(other)
         return self._coeffs == other._coeffs
 
-    __hash__ = None
-
     def derivative(self, k: int = 1) -> Polynomial:
         if k < 0:
             raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(k):
-            p = Polynomial._of([(i + 1) * p._coeffs[i + 1] for i in range(len(p._coeffs) - 1)])
+            p = DenseRow.derivative(p)
         return p
 
     def __call__(self, y):
@@ -126,21 +97,17 @@ class Polynomial:
     def shift(self, y) -> Polynomial:
         """The polynomial q with q(x) = p(x + y), by binomial re-expansion:
         q_j = sum_m C(m+j, j) y^m p_(m+j), one ``dot`` of the powers y^m with
-        p under small int weights."""
+        p under small int weights, from the top degree down: the denominators
+        of an Appell row fall with the degree, so ``dot``'s common denominator
+        grows only at the end."""
         y = coerce_scalar(y)
         if not y:
             return self
-        p = self._coeffs
-        ys = [1] + [y ** m for m in range(1, len(p))]
-        return Polynomial._of([dot(ys, p[j:], [comb(m + j, j) for m in range(len(p) - j)])
-                               for j in range(len(p))])
-
-    def specialize(self, v) -> Polynomial:
-        """Substitute lambda := v in every coefficient."""
-        return Polynomial._of([lambda_eval(c, v) for c in self._coeffs])
+        n = len(self._coeffs)
+        top = self._coeffs[::-1]
+        ys = [y ** m for m in range(n - 1, 0, -1)] + [1]  # y^(n-1), ..., y, 1
+        return Polynomial._of([dot(ys[j:], top, [comb(m + j, j) for m in range(n - 1 - j, -1, -1)])
+                               for j in range(n)])
 
     def __str__(self) -> str:
         return format_terms(self._coeffs, "x")
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"

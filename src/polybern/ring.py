@@ -12,24 +12,26 @@ mixed arithmetic needs no explicit coercion at call sites.
 
 This module also owns the dense coefficient kernel that ``Polynomial``
 (Q[lambda][x]) and ``Series`` (truncated series in t) share over their
-Fraction or LambdaPoly coefficients: coefficient lists stored low degree
-first, with trimming, addition, truncated multiplication, Horner evaluation
-and powers defined once here. Over Q, as in ``LambdaPoly``, a product (and
-the one recurrence and the Stirling-1 transform of ``series``) runs on
-``FractionRow``s of integers and reduces each output coefficient once.
-Over Q[lambda] and mixed rows, each sum of products behind an output
-coefficient (of a product, a pairing, an operator action, a translate or
-that recurrence) is one ``dot``: weighted integer rows summed over a
-running common denominator and reduced once, not once per term. ``dot`` and
-every ``LambdaPoly`` product share one inner loop, the integer-row
-multiply-accumulate ``_mac``.
+Fraction or LambdaPoly coefficients: trimming, addition, truncated
+multiplication, Horner evaluation and powers of rows stored low degree
+first, and ``DenseRow``, which defines both classes' sums, differences,
+negation, scalar and row products, derivative and ``specialize`` once,
+each class giving only its length rule. Over Q, as in ``LambdaPoly``, a
+product (and the one recurrence and the Stirling-1 transform of
+``series``) runs on ``FractionRow``s of integers and reduces each output
+coefficient once. Over Q[lambda] and mixed rows, each sum of products
+behind an output coefficient (of a product, a pairing, an operator action,
+a translate or that recurrence) is one ``dot``: weighted integer rows
+summed over a running common denominator and reduced once, not once per
+term. ``dot`` and every ``LambdaPoly`` product share one inner loop, the
+integer-row multiply-accumulate ``_mac``.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import gcd, lcm
 from operator import mul
 
@@ -224,6 +226,73 @@ def coerce_scalar(value):
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not a Q or Q[lambda] coefficient: {value!r}")
+
+
+class DenseRow:
+    """Fraction or LambdaPoly coefficients, low degree first, with the
+    arithmetic ``Series`` and ``Polynomial`` share. A subclass gives its
+    length rule: ``_fit`` stores a built row (a scalar c is ``_fit([c])``),
+    and ``_sum_length`` and ``_product_length`` map the lengths of two rows
+    to that of their sum and product. A row of the other subclass is no
+    scalar: ``coerce_scalar`` refuses it."""
+
+    __slots__ = ("_coeffs",)
+
+    @classmethod
+    def _of(cls, coeffs):
+        """Fractions and LambdaPolys the kernel built, stored uncoerced."""
+        row = object.__new__(cls)
+        row._coeffs = cls._fit(coeffs)
+        return row
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    def __add__(self, other):
+        a = self._coeffs
+        if isinstance(other, type(self)):
+            n = self._sum_length(len(a), len(other._coeffs))
+            return self._of(add_coeffs(a[:n], other._coeffs[:n]))
+        return self._of(add_coeffs(a, self._fit([coerce_scalar(other)])))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of([-c for c in self._coeffs])
+
+    def __sub__(self, other):
+        a = self._coeffs
+        if isinstance(other, type(self)):
+            n = self._sum_length(len(a), len(other._coeffs))
+            return self._of([x - y for x, y in zip_longest(a[:n], other._coeffs[:n],
+                                                           fillvalue=_ZERO)])
+        return self + -coerce_scalar(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a = self._coeffs
+        if isinstance(other, type(self)):
+            b = other._coeffs
+            return self._of(mul_coeffs(a, b, self._product_length(len(a), len(b))))
+        c = coerce_scalar(other)
+        return self._of([c * x for x in a])
+
+    def __rmul__(self, other):
+        return self * other
+
+    def derivative(self):
+        """One derivative: coefficient i is (i + 1) c_(i+1), one row shorter."""
+        return self._of([i * c for i, c in enumerate(self._coeffs[1:], 1)])
+
+    def specialize(self, v):
+        """Substitute lambda := v in every coefficient (exact)."""
+        return self._of([lambda_eval(c, v) for c in self._coeffs])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 def _as_fraction(value) -> Fraction | None:

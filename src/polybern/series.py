@@ -1,10 +1,11 @@
 """Truncated formal power series in t over Q or Q[lambda].
 
-A series stores exactly ``precision`` coefficients (that of t^0 through
-t^(precision-1)); binary operations return the minimum of the operand
-precisions and never extend silently. Coefficients are Fractions or
-LambdaPolys; the two mix freely (Q embeds into Q[lambda]). A quotient by a
-unit, a power, log and exp are one triangular recurrence, ``_recurrence``.
+A series is a ``ring.DenseRow`` of exactly ``precision`` coefficients
+(that of t^0 through t^(precision-1)). Its length rule: the sums and
+products the row defines return the minimum of the operand precisions and
+never extend silently. Coefficients are Fractions or LambdaPolys; the two
+mix freely (Q embeds into Q[lambda]). A quotient by a unit, a power, log
+and exp are one triangular recurrence, ``_recurrence``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .ring import (
     _ZERO,
+    DenseRow,
     FractionRow,
     LambdaPoly,
     _normalised,
@@ -31,7 +33,6 @@ from .ring import (
     dot,
     format_scalar,
     format_terms,
-    lambda_eval,
     mul_coeffs,
     power,
 )
@@ -63,10 +64,10 @@ def invert_constant(c):
     return 1 / c
 
 
-class Series:
+class Series(DenseRow):
     """Formal power series in t, truncated to a fixed precision."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs, precision: int | None = None):
         cs = [coerce_scalar(c) for c in coeffs]
@@ -80,13 +81,6 @@ class Series:
         if not cs:
             raise PrecisionExceeded("a series needs at least one coefficient")
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def _of(cls, coeffs) -> Series:
-        """At least one Fraction or LambdaPoly the kernel built, stored uncoerced."""
-        s = object.__new__(cls)
-        s._coeffs = tuple(coeffs)
-        return s
 
     @classmethod
     def zero(cls, precision: int) -> Series:
@@ -108,10 +102,6 @@ class Series:
     def precision(self) -> int:
         return len(self._coeffs)
 
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
     def __getitem__(self, n: int):
         return self._coeffs[n]
 
@@ -122,40 +112,14 @@ class Series:
         check_truncation(self.precision, precision)
         return self if precision == self.precision else Series._of(self._coeffs[:precision])
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations: DenseRow's, under the shorter precision ----------
 
-    def __add__(self, other):
-        if isinstance(other, Series):
-            n = min(self.precision, other.precision)
-            return Series._of([self._coeffs[i] + other._coeffs[i] for i in range(n)])
-        c = coerce_scalar(other)
-        out = list(self._coeffs)
-        out[0] = out[0] + c
-        return Series._of(out)
+    _fit = tuple
 
-    __radd__ = __add__
+    _sum_length = _product_length = min
 
-    def __neg__(self) -> Series:
-        return Series._of([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            n = min(self.precision, other.precision)
-            return Series._of([self._coeffs[i] - other._coeffs[i] for i in range(n)])
-        return self + (-coerce_scalar(other))
-
-    def __rsub__(self, other):
-        return (-self) + coerce_scalar(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = min(self.precision, other.precision)
-            return Series._of(mul_coeffs(self._coeffs, other._coeffs, n))
-        c = coerce_scalar(other)
-        return Series._of([c * x for x in self._coeffs])
-
-    def __rmul__(self, other):
-        return self * other
+    # bench/tracer.py patches this name in the class's own namespace
+    __mul__ = DenseRow.__mul__
 
     def __pow__(self, n: int) -> Series:
         if not isinstance(n, int):
@@ -277,24 +241,15 @@ class Series:
         """Coefficient-shift derivative d/dt; precision drops by one."""
         if self.precision < 2:
             raise PrecisionExceeded("cannot differentiate a precision-1 series")
-        return Series._of([(i + 1) * self._coeffs[i + 1] for i in range(self.precision - 1)])
-
-    def specialize(self, v) -> Series:
-        """Substitute lambda := v in every coefficient (exact)."""
-        return Series._of([lambda_eval(c, v) for c in self._coeffs])
+        return super().derivative()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    __hash__ = None
-
     def __str__(self) -> str:
         return f"{format_terms(self._coeffs, 't')} + O(t^{self.precision})"
-
-    def __repr__(self) -> str:
-        return f"Series({self})"
 
 
 def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:

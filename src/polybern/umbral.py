@@ -2,8 +2,9 @@
 
 A series f acts on polynomials two ways: as a linear functional via
 <f|p> = sum_n p_n * n! * [t^n]f, and as an operator via t^k p = p^(k).
-A pairing is one ``ring.dot`` over the row n! p_n, on which t^k is a shift
-by k; each coefficient of an action is one ``ring.dot`` too, reduced once.
+A pairing is one ``ring.dot`` over the row n! p_n (``families._values``),
+on which t^k is a shift by k; each coefficient of an action is one
+``ring.dot`` too, reduced once.
 The measure-style integral on polynomials is realized exactly as the
 pairing against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number
 B_n when r = 1.
@@ -38,15 +39,10 @@ def _check_precision(f: Series, p: Polynomial, what: str):
         )
 
 
-def _scaled(p: Polynomial) -> list:
-    """The row n! p_n, in which t^k acts as a shift by k."""
-    return [factorial(n) * c for n, c in enumerate(p.coeffs)]
-
-
 def pair(f: Series, p: Polynomial):
     """<f(t)|p(x)> = sum_n p_n * n! * [t^n] f."""
     _check_precision(f, p, "pairing")
-    return dot(_scaled(p), f)
+    return dot(families._values(p.coeffs), f)
 
 
 def op_apply(f: Series, p: Polynomial) -> Polynomial:
@@ -108,7 +104,7 @@ def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
     for n in range(nmax + 1):
         if s[n].degree != n:
             raise PolybernError(f"s_{n} must have degree {n}, got {s[n].degree}")
-    rows = [_scaled(p) for p in s[:nmax + 1]]
+    rows = [families._values(p.coeffs) for p in s[:nmax + 1]]
     gfk = g
     for k in range(nmax + 1):
         for n in range(nmax + 1):

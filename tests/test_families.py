@@ -516,8 +516,15 @@ def test_gf_builders_check_k_and_r():
     (lambda: families.table("carlitz", False), "precision"),
     (lambda: families.polynomial("dpb", 1.0, 4, k=2), "n"),
     (lambda: families.polynomial("carlitz", True, 4), "n"),
-    (lambda: identities.verify("eq5", nmax=2.5), r"nmax \+ 2"),
+    (lambda: identities.verify("eq5", nmax=2.5), "nmax"),
+    (lambda: identities.verify("eq5", nmax=True), "nmax"),
+    (lambda: identities.verify("thm2", max_degree=True), "max_degree"),
     (lambda: identities.verify("thm2", n_random=2.5), "n_random"),
+    (lambda: identities.verify("eq5", lam="x"), "lam"),
+    (lambda: identities.verify("eq5", lam=float("nan")), "lam"),
+    (lambda: identities.verify("eq5", lam=True), "lam"),
+    (lambda: identities.verify("eq18", ys=("a",)), r"ys\[0\]"),
+    (lambda: identities.verify("eq18", ys=(1, Fraction(1, 2), 0.5)), r"ys\[2\]"),
     (lambda: families.polylog_series(2, 2.5), "precision"),
     # a cached builder keys (2.0,) and (True,) as (2,) and (1,): each call
     # is checked after an equal key was built, and a float never reaches
@@ -531,12 +538,15 @@ def test_gf_builders_check_k_and_r():
     (lambda: [families.carlitz_gf(p) for p in (8, 4.0)], "precision"),
     (lambda: [families.bernoulli_gf(p) for p in (8, True)], "precision"),
 ], ids=["k-float", "k-bool", "r-float", "r-bool", "precision-float",
-        "precision-bool", "n-float", "n-bool", "verify-nmax-float", "verify-n_random-float",
+        "precision-bool", "n-float", "n-bool", "verify-nmax-float", "verify-nmax-bool",
+        "verify-max_degree-bool", "verify-n_random-float", "verify-lam-str", "verify-lam-nan",
+        "verify-lam-bool", "verify-ys-str", "verify-ys-float",
         "polylog-precision-float", "elam-precision-float", "gf-k-float", "gf-k-bool",
         "plain-gf-k-float", "gf-r-float", "gf-precision-float", "carlitz-gf-precision-float",
         "gf-precision-bool"])
 def test_library_refuses_a_non_integer_argument(build, name):
-    with pytest.raises(PolybernError, match=f"^{name} must be an integer, got "):
+    kind = "an integer or a Fraction" if name.startswith(("lam", "ys")) else "an integer"
+    with pytest.raises(PolybernError, match=f"^{name} must be {kind}, got "):
         build()
 
 

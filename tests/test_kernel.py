@@ -349,3 +349,52 @@ def test_a_non_invertible_constant_term_keeps_its_error(f, c0, r):
         Series(f) ** -r
     assert str(err.value) == ("divisor constant term 0 is not invertible" if c0 is None
                               else f"coefficient 1 is not divisible by {c0 ** r}")
+
+
+def coefficient_types(row) -> str:
+    """F for each Fraction coefficient, L for each LambdaPoly."""
+    return "".join({Fraction: "F", LambdaPoly: "L"}.get(type(c), "?") for c in row.coeffs)
+
+
+@pytest.mark.parametrize("cls", [Series, Polynomial])
+@pytest.mark.parametrize("row, kept, lambda_sum, derived", [
+    ((Fraction(1, 2), Fraction(-3), Fraction(2, 7)), "FFF", "LFF", "FF"),
+    ((LAMBDA, LAMBDA + 1, LambdaPoly([Fraction(1, 3)])), "LLL", "LLL", "LL"),
+    ((Fraction(1, 2), LAMBDA, Fraction(-2)), "FLF", "LLF", "LF"),
+], ids=["q", "lambda", "mixed"])
+def test_scalar_arithmetic_keeps_each_coefficient_type(cls, row, kept, lambda_sum, derived):
+    # a scalar sum or difference reads the constant term only, a Q scalar
+    # product keeps every type, and a lambda product makes every one a LambdaPoly
+    f = cls(row)
+    assert coefficient_types(f) == kept
+    for s in (3, Fraction(-1, 2)):
+        for g in (f + s, s + f, f - s, s - f, f * s, s * f):
+            assert coefficient_types(g) == kept
+        assert list((f - s).coeffs) == [row[0] - s, *row[1:]]
+        assert list((s - f).coeffs) == [s - row[0], *[-c for c in row[1:]]]
+    for g in (f + LAMBDA, LAMBDA + f, f - LAMBDA, LAMBDA - f):
+        assert coefficient_types(g) == lambda_sum
+    # a series lifts a zero scalar to the row (0,), a polynomial trims it away
+    zero = LambdaPoly()
+    for g in (f + zero, zero + f, f - zero, zero - f):
+        assert coefficient_types(g) == (lambda_sum if cls is Series else kept)
+    assert coefficient_types(f * LAMBDA) == coefficient_types(LAMBDA * f) == "LLL"
+    assert coefficient_types(-f) == kept
+    assert coefficient_types(f.specialize(Fraction(1, 2))) == "FFF"
+    assert coefficient_types(f.derivative()) == derived
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b],
+                         ids=["add", "sub", "mul"])
+def test_a_series_and_a_polynomial_do_not_mix(op):
+    f, p = Series([1, LAMBDA]), Polynomial([1, LAMBDA])
+    for a, b in ((f, p), (p, f)):
+        with pytest.raises(TypeError, match=r"^not a Q or Q\[lambda\] coefficient: "):
+            op(a, b)
+
+
+def test_a_polynomial_equals_a_scalar_and_a_series_does_not():
+    assert Polynomial.constant(3) == 3 and 3 == Polynomial.constant(3)
+    assert Polynomial.constant(LAMBDA) == LAMBDA
+    assert not Series.t(3) == 3 and Series.t(3) != 3
+    assert not Series.one(1) == 1
