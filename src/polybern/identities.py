@@ -1,17 +1,21 @@
 """Executable catalog of the library's exact identities.
 
-Each entry compares a left and right side computed through disjoint code
+Each entry is one generator of ``(n, lhs, rhs)`` cases, read from the
+arguments ``verify`` resolves, whose two sides come through disjoint code
 paths (table-plus-combinatorics vs direct series assembly, one-step vs
-two-step operator action, and so on) and reports the first failing index
-as a witness. All comparisons are exact in Q[lambda] unless a numeric
-lambda is requested, in which case both sides are specialized first.
+two-step operator action, and so on). ``verify`` hands them to the one
+loop, ``_first_failure``, which reports the first failing index as a
+witness and refuses a check that compared no case. All comparisons are
+exact in Q[lambda] unless a numeric lambda is requested, in which case
+both sides are specialized first.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -26,7 +30,7 @@ from .umbral import (
     invariant_integral,
     op_apply,
     pair,
-    sheffer_failure,
+    sheffer_cases,
 )
 
 __all__ = ["CATALOG_IDS", "Witness", "IdentityReport", "verify"]
@@ -69,9 +73,10 @@ def _first_failure(cases, lam) -> Witness | None:
     Both sides are specialized at a numeric ``lam`` first. ``cases`` is
     consumed lazily, so a check stops at its first failure and builds, or
     draws from its rng, nothing past it. Polynomials render with ``str``,
-    scalars with ``format_scalar``.
+    scalars with ``format_scalar``. No case at all is refused, not passed.
     """
-    for n, lhs, rhs in cases:
+    compared = 0
+    for compared, (n, lhs, rhs) in enumerate(cases, 1):
         poly = isinstance(lhs, Polynomial)
         if lam is not None:
             if poly:
@@ -81,6 +86,8 @@ def _first_failure(cases, lam) -> Witness | None:
         if lhs != rhs:
             fmt = str if poly else format_scalar
             return Witness(n, fmt(lhs), fmt(rhs))
+    if not compared:
+        raise PolybernError("the check compared no case")
     return None
 
 
@@ -156,77 +163,69 @@ def _table_cases(tbl: families.SequenceTable, gf: Series, nmax: int):
     return ((n, tbl.value(n), factorial(n) * gf[n]) for n in range(nmax + 1))
 
 
-# -- checkers (table-injectable so mutation tests can perturb inputs) --------
+# -- case generators: one per catalog id, each reading the resolved arguments --
 
 
-def check_eq5(dpb1: families.SequenceTable, dh: families.SequenceTable,
-              cz: families.SequenceTable, nmax: int, lam=None) -> Witness | None:
+def _eq5(a):
     """Daehee convolution at x = 0 against the k = 1 table."""
-    def rhs(n):
-        return sum((LambdaPoly.monomial(n - l) * (comb(n, l) * dh.value(n - l) * cz.value(l))
-                    for l in range(n + 1)), Fraction(0))
-    return _first_failure(((n, dpb1.value(n), rhs(n)) for n in range(nmax + 1)), lam)
+    dpb1, dh = families.table("dpb", a.p, k=a.k), families.table("daehee", a.p)
+    cz = families.table("carlitz", a.p)
+    for n in range(a.nmax + 1):
+        terms = (LambdaPoly.monomial(n - l) * (comb(n, l) * dh.value(n - l) * cz.value(l))
+                 for l in range(n + 1))
+        yield n, dpb1.value(n), sum(terms, Fraction(0))
 
 
-def check_eq17(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
-               lam=None) -> Witness | None:
+def _eq17(a):
     """Binomial polynomials from the table vs the product-series route."""
-    s = _a_series(k, precision) * bernoulli_operator(1, precision)
-    return _first_failure(((n, families.binomial_poly(tbl, n), _poly_from_product_series(s, n))
-                           for n in range(nmax + 1)), lam)
+    tbl = families.table("dpb", a.p, k=a.k)
+    s = _a_series(a.k, a.p) * bernoulli_operator(1, a.p)
+    for n in range(a.nmax + 1):
+        yield n, families.binomial_poly(tbl, n), _poly_from_product_series(s, n)
 
 
-def check_eq18(tbl: families.SequenceTable, nmax: int, ys, lam=None) -> Witness | None:
+def _eq18(a):
     """Difference/integral identity: operator action vs explicit translate."""
-    def cases():
-        polys = [families.binomial_poly(tbl, n) for n in range(nmax + 2)]
-        for y in ys:
-            op = _expm1_over_t(Fraction(y), nmax + 2)
-            for n in range(nmax + 1):
-                q = polys[n + 1]
-                yield n, op_apply(op, polys[n]), (q.shift(y) - q) / (n + 1)
-    return _first_failure(cases(), lam)
+    tbl = families.table("dpb", a.p, k=a.k)
+    polys = [families.binomial_poly(tbl, n) for n in range(a.nmax + 2)]
+    for y in a.ys:
+        op = _expm1_over_t(Fraction(y), a.nmax + 2)
+        for n in range(a.nmax + 1):
+            q = polys[n + 1]
+            yield n, op_apply(op, polys[n]), (q.shift(y) - q) / (n + 1)
 
 
-def check_thm3(k: int, r: int, precision: int, rng: random.Random, n_random: int,
-               max_degree: int, lam=None) -> Witness | None:
-    a_r = _a_series(k, precision) ** r
-    gf_r = families.dpb_higher_gf(k, r, precision)
-    bop_r = bernoulli_operator(r, precision)
-    bvals = bernoulli_numbers_triangular(max_degree + 1)
-
-    def cases():
-        for i in range(n_random):
-            p = _random_polynomial(rng, max_degree)
-            q = p
-            for _ in range(r):
-                q = _integrate_termwise(q, bvals)
-            yield i, q, op_apply(bop_r, p)
-            yield i, op_apply(a_r, q), op_apply(gf_r, p)
-    return _first_failure(cases(), lam)
+def _thm3(a):
+    a_r = _a_series(a.k, a.p) ** a.r
+    gf_r = families.dpb_higher_gf(a.k, a.r, a.p)
+    bop_r = bernoulli_operator(a.r, a.p)
+    bvals = bernoulli_numbers_triangular(a.max_degree + 1)
+    for i in range(a.n_random):
+        p = _random_polynomial(a.rng, a.max_degree)
+        q = p
+        for _ in range(a.r):
+            q = _integrate_termwise(q, bvals)
+        yield i, q, op_apply(bop_r, p)
+        yield i, op_apply(a_r, q), op_apply(gf_r, p)
 
 
-def check_thm4(tbl: families.SequenceTable, k: int, r: int, nmax: int,
-               precision: int, rng: random.Random, n_random: int,
-               max_degree: int, lam=None) -> Witness | None:
-    a_r = _a_series(k, precision) ** r
-
-    def cases():
-        s = a_r * bernoulli_operator(r, precision)
-        for n in range(nmax + 1):
-            yield n, pair(s, Polynomial.monomial(n)), tbl.value(n)
-        gf_r = families.dpb_higher_gf(k, r, precision)
-        expm1_r = _expm1_over_t(1, precision) ** r
-        for i in range(n_random):
-            p = _random_polynomial(rng, max_degree)
-            yield i, pair(gf_r, p), invariant_integral(op_apply(a_r, p), r)
-            # h(t) = 1 particular case of the r-fold functional.
-            yield i, invariant_integral(op_apply(expm1_r, p), r), p(0)
-    return _first_failure(cases(), lam)
+def _thm4(a):
+    # thm1, at r = 1, reads the dpb table
+    tbl = families.table("dpb" if a.r == 1 else "dpb-higher", a.p, k=a.k, r=a.r)
+    a_r = _a_series(a.k, a.p) ** a.r
+    s = a_r * bernoulli_operator(a.r, a.p)
+    for n in range(a.nmax + 1):
+        yield n, pair(s, Polynomial.monomial(n)), tbl.value(n)
+    gf_r = families.dpb_higher_gf(a.k, a.r, a.p)
+    expm1_r = _expm1_over_t(1, a.p) ** a.r
+    for i in range(a.n_random):
+        p = _random_polynomial(a.rng, a.max_degree)
+        yield i, pair(gf_r, p), invariant_integral(op_apply(a_r, p), a.r)
+        # h(t) = 1 particular case of the r-fold functional.
+        yield i, invariant_integral(op_apply(expm1_r, p), a.r), p(0)
 
 
-def check_remark(higher: families.SequenceTable, base: families.SequenceTable,
-                 r: int, nmax: int, lam=None) -> Witness | None:
+def _remark(a):
     """Multinomial convolution; the right side uses only the r = 1 table.
 
     The sum over compositions n = n_1 + ... + n_r of n!/(n_1!...n_r!) times
@@ -236,66 +235,66 @@ def check_remark(higher: families.SequenceTable, base: families.SequenceTable,
     over series products, not by ``**``, whose Miller recurrence is the
     production route of the higher-order table.
     """
-    b = Series([base.value(n) / factorial(n) for n in range(nmax + 1)])
-    return _first_failure(_table_cases(higher, power(b, r, Series.one(nmax + 1)), nmax), lam)
+    higher = families.table("dpb-higher", a.p, k=a.k, r=a.r)
+    base = families.table("dpb", a.p, k=a.k)
+    b = Series([base.value(n) / factorial(n) for n in range(a.nmax + 1)])
+    return _table_cases(higher, power(b, a.r, Series.one(a.nmax + 1)), a.nmax)
 
 
-def check_sheffer(k: int, r: int, nmax: int, precision: int, lam=None) -> Witness | None:
+def _sheffer(a):
     """Orthogonality and regeneration for the degenerate family of order r."""
-    g = _dpb_series(k, precision) ** -r
-    f = Series.t(precision)
-    s = [families.polynomial("dpb-higher", m, precision, k=k, r=r) for m in range(nmax + 1)]
-    if lam is not None:
-        g = g.specialize(lam)
-        f = f.specialize(lam)
-        s = [p.specialize(lam) for p in s]
-    failure = sheffer_failure(g, f, s, nmax)
-    return None if failure is None else Witness(*failure)
+    g = _dpb_series(a.k, a.p) ** -a.r
+    f = Series.t(a.p)
+    s = [families.polynomial("dpb-higher", m, a.p, k=a.k, r=a.r) for m in range(a.nmax + 1)]
+    if a.lam is not None:
+        g = g.specialize(a.lam)
+        f = f.specialize(a.lam)
+        s = [p.specialize(a.lam) for p in s]
+    return sheffer_cases(g, f, s, a.nmax)
 
 
-def check_k0(nmax: int, precision: int, lam=None) -> Witness | None:
+def _k0(a):
     """Weight-0 collapse: the polynomials reduce to plain monomials."""
-    return _first_failure(((n, families.polynomial("dpb", n, precision, k=0),
-                            Polynomial.monomial(n)) for n in range(nmax + 1)), lam)
+    return ((n, families.polynomial("dpb", n, a.p, k=0), Polynomial.monomial(n))
+            for n in range(a.nmax + 1))
 
 
-def check_lambda0(k: int, nmax: int, precision: int, lam=None) -> Witness | None:
+def _lambda0(a):
     """lambda -> 0 specialization of the series-route gf agrees with the
     classical gf coefficients (Kaneko's sum, or at k = 1 the tangent numbers,
     in the families module)."""
-    if nmax >= precision:
-        raise PrecisionExceeded(f"n = {nmax} exceeds precision {precision}")
-    degen = _dpb_series(k, precision).specialize(0)
-    plain = families.poly_bernoulli_gf(k, precision)
-    return _first_failure(((n, degen[n], plain[n]) for n in range(nmax + 1)), None)
+    if a.nmax >= a.p:
+        raise PrecisionExceeded(f"n = {a.nmax} exceeds precision {a.p}")
+    degen = _dpb_series(a.k, a.p).specialize(0)
+    plain = families.poly_bernoulli_gf(a.k, a.p)
+    return ((n, degen[n], plain[n]) for n in range(a.nmax + 1))
 
 
-def check_stirling1(higher: families.SequenceTable, cz: families.SequenceTable,
-                    dh: families.SequenceTable, k: int, r: int, nmax: int,
-                    precision: int, lam=None) -> Witness | None:
+def _stirling1(a):
     """The Stirling-transform and closed-form tables against the series
     routes: dpb-higher against the r-th power of the composed-and-divided
     gf, Carlitz against t/(elam(1) - 1) by series division, and Daehee
     against log(1 + t)/t by Series.log and division."""
-    n = precision + 1
+    higher = families.table("dpb-higher", a.p, k=a.k, r=a.r)
+    cz, dh = families.table("carlitz", a.p), families.table("daehee", a.p)
+    n = a.p + 1
     carlitz = Series.t(n).div(families.elam(1, n) - 1)
     daehee = (Series.one(n) + Series.t(n)).log().div(Series.t(n))
-    return (_first_failure(_table_cases(higher, _dpb_series(k, precision) ** r, nmax), lam)
-            or _first_failure(_table_cases(cz, carlitz, nmax), lam)
-            or _first_failure(_table_cases(dh, daehee, nmax), lam))
+    return chain(_table_cases(higher, _dpb_series(a.k, a.p) ** a.r, a.nmax),
+                 _table_cases(cz, carlitz, a.nmax), _table_cases(dh, daehee, a.nmax))
 
 
-def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
-                 lam=None) -> Witness | None:
+def _kaneko(a):
     """Kaneko's sum against Li_k(1 - e^(-t))/(e^t - 1) by series
     composition and division over Q. At k = 1 the series side is
     t/(e^t - 1) by division, the series route that the bernoulli table's
     closed form, from tangent numbers, replaced; the k = 1 table is the
     bernoulli one, so this id also checks it."""
-    n = precision + 1
+    tbl = families.table("poly-bernoulli", a.p, k=a.k)
+    n = a.p + 1
     z = 1 - (-Series.t(n)).exp()
-    gf = families.polylog_series(k, n).compose(z).div(Series.t(n).exp() - 1)
-    return _first_failure(_table_cases(tbl, gf, nmax), lam)
+    gf = families.polylog_series(a.k, n).compose(z).div(Series.t(n).exp() - 1)
+    return _table_cases(tbl, gf, a.nmax)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -304,50 +303,34 @@ def check_kaneko(tbl: families.SequenceTable, k: int, nmax: int, precision: int,
 class _Entry(NamedTuple):
     """One catalog id: ``params`` names the arguments its report lists after
     ``lambda``, in order; the default precision is ``slack`` plus the largest
-    index range among them (nmax, max_degree); ``run`` calls the checker on
-    the resolved arguments; ``fixed`` sets arguments whatever was passed."""
+    index range among them (nmax, max_degree); ``cases`` yields the
+    ``(n, lhs, rhs)`` it compares from the resolved arguments; ``fixed`` sets
+    arguments whatever was passed."""
 
     slack: int
     params: tuple[str, ...]
-    run: Callable[[SimpleNamespace], Witness | None]
+    cases: Callable[[SimpleNamespace], Iterable[tuple]]
     fixed: tuple = ()
 
 
 _RANDOM = ("n_random", "max_degree", "seed")
 
 _CATALOG = {
-    "eq5": _Entry(1, ("k", "nmax"), lambda a: check_eq5(
-        families.table("dpb", a.p, k=a.k), families.table("daehee", a.p),
-        families.table("carlitz", a.p), a.nmax, a.lam), fixed=(("k", 1),)),
-    "eq17": _Entry(2, ("k", "nmax"), lambda a: check_eq17(
-        families.table("dpb", a.p, k=a.k), a.k, a.nmax, a.p, a.lam)),
-    "eq18": _Entry(2, ("k", "nmax", "seed", "ys"), lambda a: check_eq18(
-        families.table("dpb", a.p, k=a.k), a.nmax, a.ys, a.lam)),
+    "eq5": _Entry(1, ("k", "nmax"), _eq5, fixed=(("k", 1),)),
+    "eq17": _Entry(2, ("k", "nmax"), _eq17),
+    "eq18": _Entry(2, ("k", "nmax", "seed", "ys"), _eq18),
     # thm1 and thm2 are Theorems 4 and 3 at r = 1.
-    "thm1": _Entry(2, ("k", "nmax") + _RANDOM, lambda a: check_thm4(
-        families.table("dpb", a.p, k=a.k), a.k, 1, a.nmax, a.p, a.rng, a.n_random,
-        a.max_degree, a.lam)),
-    "thm2": _Entry(2, ("k",) + _RANDOM, lambda a: check_thm3(
-        a.k, 1, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
-    "thm3": _Entry(2, ("k", "r") + _RANDOM, lambda a: check_thm3(
-        a.k, a.r, a.p, a.rng, a.n_random, a.max_degree, a.lam)),
-    "thm4": _Entry(2, ("k", "r", "nmax") + _RANDOM, lambda a: check_thm4(
-        families.table("dpb-higher", a.p, k=a.k, r=a.r), a.k, a.r, a.nmax, a.p, a.rng,
-        a.n_random, a.max_degree, a.lam)),
-    "remark": _Entry(1, ("k", "r", "nmax"), lambda a: check_remark(
-        families.table("dpb-higher", a.p, k=a.k, r=a.r), families.table("dpb", a.p, k=a.k),
-        a.r, a.nmax, a.lam)),
-    "sheffer16": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
-        a.k, a.r, a.nmax, a.p, a.lam), fixed=(("r", 1),)),
-    "sheffer23": _Entry(2, ("k", "r", "nmax"), lambda a: check_sheffer(
-        a.k, a.r, a.nmax, a.p, a.lam)),
-    "k0": _Entry(1, ("nmax",), lambda a: check_k0(a.nmax, a.p, a.lam)),
-    "lambda0": _Entry(1, ("k", "nmax"), lambda a: check_lambda0(a.k, a.nmax, a.p, a.lam)),
-    "stirling1": _Entry(1, ("k", "r", "nmax"), lambda a: check_stirling1(
-        families.table("dpb-higher", a.p, k=a.k, r=a.r), families.table("carlitz", a.p),
-        families.table("daehee", a.p), a.k, a.r, a.nmax, a.p, a.lam)),
-    "kaneko": _Entry(1, ("k", "nmax"), lambda a: check_kaneko(
-        families.table("poly-bernoulli", a.p, k=a.k), a.k, a.nmax, a.p, a.lam)),
+    "thm1": _Entry(2, ("k", "nmax") + _RANDOM, _thm4, fixed=(("r", 1),)),
+    "thm2": _Entry(2, ("k",) + _RANDOM, _thm3, fixed=(("r", 1),)),
+    "thm3": _Entry(2, ("k", "r") + _RANDOM, _thm3),
+    "thm4": _Entry(2, ("k", "r", "nmax") + _RANDOM, _thm4),
+    "remark": _Entry(1, ("k", "r", "nmax"), _remark),
+    "sheffer16": _Entry(2, ("k", "r", "nmax"), _sheffer, fixed=(("r", 1),)),
+    "sheffer23": _Entry(2, ("k", "r", "nmax"), _sheffer),
+    "k0": _Entry(1, ("nmax",), _k0),
+    "lambda0": _Entry(1, ("k", "nmax"), _lambda0),
+    "stirling1": _Entry(1, ("k", "r", "nmax"), _stirling1),
+    "kaneko": _Entry(1, ("k", "nmax"), _kaneko),
 }
 
 CATALOG_IDS = tuple(_CATALOG)
@@ -365,7 +348,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
            lam=None, seed: int = 0, n_random: int | None = None,
            max_degree: int | None = None) -> IdentityReport:
     """Run one catalog entry and return its exact pass/fail report."""
-    entry = _CATALOG.get(ident)
+    entry = _CATALOG.get(ident) if isinstance(ident, str) else None
     if entry is None:
         raise UnknownIdentity(f"unknown identity '{ident}'")
     nmax = 8 if nmax is None else nmax
@@ -384,14 +367,18 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     families.check_precision(nmax + 2, "nmax + 2", limit)
     families.check_precision(max_degree + 2, "max_degree + 2", limit)
     if order is not None:
+        families.check_precision(order, "order", limit)
         if order < 1:
             raise PrecisionExceeded(f"order must be >= 1, got {order}")
-        families.check_precision(order, "order", limit)
     families.check_k(k)
     r = 1 if r is None else r
     families.check_r(r)
+    families._check_int(seed, "seed")
     lam = None if lam is None else Fraction(_check_rational(lam, "lam"))
-    ys = None if ys is None else tuple(_check_rational(y, f"ys[{i}]") for i, y in enumerate(ys))
+    if ys is not None:
+        if not isinstance(ys, Sequence):
+            raise PolybernError(f"ys must be a sequence of rationals, got {ys!r}")
+        ys = tuple(_check_rational(y, f"ys[{i}]") for i, y in enumerate(ys))
 
     a = SimpleNamespace(k=2 if k is None else k, r=r, nmax=nmax, rng=random.Random(seed),
                         n_random=n_random, max_degree=max_degree, seed=seed, lam=lam, ys=None)
@@ -401,7 +388,7 @@ def verify(ident: str, *, k: int | None = None, r: int | None = None,
     if "ys" in entry.params:
         # drawn before any test polynomial
         a.ys = ys if ys is not None else DEFAULT_YS + (_random_rational(a.rng),)
-    witness = entry.run(a)
+    witness = _first_failure(entry.cases(a), lam)
     params = {"lambda": "symbolic" if lam is None else format_scalar(lam)}
     params.update((name, getattr(a, name)) for name in entry.params)
     if a.ys is not None:

@@ -8,6 +8,8 @@ on which t^k is a shift by k; each coefficient of an action is one
 The measure-style integral on polynomials is realized exactly as the
 pairing against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number
 B_n when r = 1.
+The Sheffer check, like every catalog entry, yields ``(n, lhs, rhs)``
+cases for ``identities._first_failure`` to compare.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import factorial, perm
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import dot, format_scalar
+from .ring import dot
 from .series import Series, invert_constant, precision_cache
 
 __all__ = [
@@ -27,7 +29,7 @@ __all__ = [
     "bernoulli_operator",
     "invariant_integral",
     "sheffer_regenerate",
-    "sheffer_failure",
+    "sheffer_cases",
 ]
 
 
@@ -91,13 +93,10 @@ def sheffer_regenerate(g: Series, f: Series, count: int) -> list[Polynomial]:
             for n in range(count)]
 
 
-def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
-    """First failure as ``(n, lhs, rhs)`` text, or None if all pass.
-
-    An orthogonality failure <g f^k | s_n> != n! delta_{n,k} reads
-    ("<g*f^k|s_n> = got", "want"); a regeneration failure, where the
-    generating-series route disagrees with s_n, reads (str(got), str(s_n)).
-    """
+def sheffer_cases(g: Series, f: Series, s: list[Polynomial], nmax: int):
+    """The ``(n, lhs, rhs)`` cases of the Sheffer check for s_0..s_nmax:
+    (<g f^k | s_n>, n! delta_{n,k}) for orthogonality, then (s_n regenerated
+    from g and f, s_n). The preconditions are checked at the call."""
     _sheffer_preconditions(g, f)
     if len(s) <= nmax:
         raise PolybernError(f"need polynomials up to index {nmax}, got {len(s)}")
@@ -105,18 +104,16 @@ def sheffer_failure(g: Series, f: Series, s: list[Polynomial], nmax: int):
         if s[n].degree != n:
             raise PolybernError(f"s_{n} must have degree {n}, got {s[n].degree}")
     rows = [families._values(p.coeffs) for p in s[:nmax + 1]]
-    gfk = g
-    for k in range(nmax + 1):
+
+    def cases():
+        gfk = g
+        for k in range(nmax + 1):
+            for n in range(nmax + 1):
+                _check_precision(gfk, s[n], "pairing")
+                yield n, dot(rows[n], gfk), Fraction(factorial(n)) if n == k else Fraction(0)
+            if k < nmax:
+                gfk = gfk * f
+        regen = sheffer_regenerate(g, f, nmax + 1)
         for n in range(nmax + 1):
-            _check_precision(gfk, s[n], "pairing")
-            got = dot(rows[n], gfk)
-            want = Fraction(factorial(n)) if n == k else Fraction(0)
-            if got != want:
-                return n, f"<g*f^{k}|s_{n}> = {format_scalar(got)}", format_scalar(want)
-        if k < nmax:
-            gfk = gfk * f
-    regen = sheffer_regenerate(g, f, nmax + 1)
-    for n in range(nmax + 1):
-        if regen[n] != s[n]:
-            return n, str(regen[n]), str(s[n])
-    return None
+            yield n, regen[n], s[n]
+    return cases()

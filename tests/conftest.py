@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+from polybern import families
 from polybern.polynomials import Polynomial
 from polybern.ring import LambdaPoly
 from polybern.series import Series
@@ -30,6 +31,25 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 # integer exponents for series powers: both signs, both sides of |r| >= 2
 EXPONENTS = [-40, -3, -2, -1, 0, 1, 2, 3, 40]
+
+
+_TABLE = families.table
+
+
+def perturb_table(monkeypatch, family: str, n0: int, k: int | None = None, r: int = 1):
+    """Patch ``families.table`` so that the table of ``family`` at (k, r),
+    as the table itself records them, comes back with entry n0 raised by 1.
+    Every catalog check, and ``families.polynomial``, reads its tables
+    through that name; a later call replaces the earlier patch."""
+    def table(*args, **kwargs):
+        tbl = _TABLE(*args, **kwargs)
+        if (tbl.family, tbl.k, tbl.r) != (family, k, r):
+            return tbl
+        values = list(tbl.values)
+        values[n0] += 1
+        return families.SequenceTable(tbl.family, tbl.k, tbl.r, tuple(values))
+
+    monkeypatch.setattr(families, "table", table)
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:

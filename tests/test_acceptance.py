@@ -12,15 +12,9 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from conftest import rand_delta_series, rand_polynomial, rand_series
+from conftest import perturb_table, rand_delta_series, rand_polynomial, rand_series
 from polybern import families, identities, umbral
-from polybern.identities import (
-    check_eq5,
-    check_eq17,
-    check_remark,
-    check_thm4,
-    verify,
-)
+from polybern.identities import verify
 from polybern.polynomials import Polynomial
 from polybern.series import Series
 from polybern.umbral import invariant_integral, op_apply, pair
@@ -148,37 +142,25 @@ def test_criterion_6_series_properties_at_order_32():
     print(f"\nACCEPTANCE 6 (series properties at order 32, {elapsed:.2f}s): {PASS}")
 
 
-def _perturbed(tbl, index):
-    values = list(tbl.values)
-    values[index] = values[index] + 1
-    return families.SequenceTable(tbl.family, tbl.k, tbl.r, tuple(values))
-
-
-def test_criterion_7_mutation_sensitivity():
+def test_criterion_7_mutation_sensitivity(monkeypatch):
     p = 10
     nmax = 8
-    rng = random.Random(0)
-    dpb1 = families.table("dpb", p, k=1)
-    dh = families.table("daehee", p)
-    cz = families.table("carlitz", p)
-    dpb2 = families.table("dpb", p, k=2)
-    higher = families.table("dpb-higher", p, k=2, r=2)
-
+    sizes = dict(order=p, nmax=nmax)
+    # (family, k, r) of the perturbed table, then each (id, arguments) that must see it
+    targets = [
+        (("dpb", 1, 1), [("eq5", sizes)]),
+        (("daehee", None, 1), [("eq5", sizes)]),
+        (("carlitz", None, 1), [("eq5", sizes)]),
+        (("dpb", 2, 1), [("eq17", dict(sizes, k=2)), ("remark", dict(sizes, k=2, r=2))]),
+        (("dpb-higher", 2, 2), [("remark", dict(sizes, k=2, r=2)),
+                                ("thm4", dict(sizes, k=2, r=2, n_random=1, max_degree=5))]),
+    ]
     for n0 in range(nmax + 1):
-        w = check_eq5(_perturbed(dpb1, n0), dh, cz, nmax)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_eq5(dpb1, _perturbed(dh, n0), cz, nmax)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_eq5(dpb1, dh, _perturbed(cz, n0), nmax)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_eq17(_perturbed(dpb2, n0), 2, nmax, p)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_remark(higher, _perturbed(dpb2, n0), 2, nmax)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_remark(_perturbed(higher, n0), dpb2, 2, nmax)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
-        w = check_thm4(_perturbed(higher, n0), 2, 2, nmax, p, rng, 1, 5)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        for (family, k, r), checks in targets:
+            perturb_table(monkeypatch, family, n0, k=k, r=r)
+            for ident, kw in checks:
+                w = verify(ident, **kw).witness
+                assert w is not None and w.n == n0 and w.lhs != w.rhs, (family, ident, n0)
     print(f"\nACCEPTANCE 7 (mutation sensitivity, witnesses correct): {PASS}")
 
 

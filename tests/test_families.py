@@ -525,6 +525,13 @@ def test_gf_builders_check_k_and_r():
     (lambda: identities.verify("eq5", lam=True), "lam"),
     (lambda: identities.verify("eq18", ys=("a",)), r"ys\[0\]"),
     (lambda: identities.verify("eq18", ys=(1, Fraction(1, 2), 0.5)), r"ys\[2\]"),
+    (lambda: identities.verify("eq18", ys=5), "ys"),
+    (lambda: identities.verify("k0", order="3"), "order"),
+    (lambda: identities.verify("k0", order=3.0), "order"),
+    (lambda: identities.verify("eq18", seed=[1]), "seed"),
+    (lambda: identities.verify("eq18", seed=2.5), "seed"),
+    (lambda: identities.verify("eq18", seed="abc"), "seed"),
+    (lambda: identities.verify(["x"]), "identity"),
     (lambda: families.polylog_series(2, 2.5), "precision"),
     # a cached builder keys (2.0,) and (True,) as (2,) and (1,): each call
     # is checked after an equal key was built, and a float never reaches
@@ -540,13 +547,21 @@ def test_gf_builders_check_k_and_r():
 ], ids=["k-float", "k-bool", "r-float", "r-bool", "precision-float",
         "precision-bool", "n-float", "n-bool", "verify-nmax-float", "verify-nmax-bool",
         "verify-max_degree-bool", "verify-n_random-float", "verify-lam-str", "verify-lam-nan",
-        "verify-lam-bool", "verify-ys-str", "verify-ys-float",
+        "verify-lam-bool", "verify-ys-str", "verify-ys-float", "verify-ys-int",
+        "verify-order-str", "verify-order-float", "verify-seed-list", "verify-seed-float",
+        "verify-seed-str", "verify-id-list",
         "polylog-precision-float", "elam-precision-float", "gf-k-float", "gf-k-bool",
         "plain-gf-k-float", "gf-r-float", "gf-precision-float", "carlitz-gf-precision-float",
         "gf-precision-bool"])
 def test_library_refuses_a_non_integer_argument(build, name):
-    kind = "an integer or a Fraction" if name.startswith(("lam", "ys")) else "an integer"
-    with pytest.raises(PolybernError, match=f"^{name} must be {kind}, got "):
+    if name == "identity":  # an unhashable id is an unknown one
+        match = r"^unknown identity '\['x'\]'$"
+    elif name == "ys":
+        match = "^ys must be a sequence of rationals, got 5$"
+    else:
+        kind = "an integer or a Fraction" if name.startswith(("lam", "ys")) else "an integer"
+        match = f"^{name} must be {kind}, got "
+    with pytest.raises(PolybernError, match=match):
         build()
 
 

@@ -1,38 +1,21 @@
 """Identity catalog: pass/fail reports, witnesses, mutation sensitivity."""
 
 import json
-import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import bernoulli_oracle
+from conftest import bernoulli_oracle, perturb_table
 from polybern import cli, families, identities, series
 from polybern.errors import PolybernError, UnknownIdentity
-from polybern.identities import (
-    CATALOG_IDS,
-    bernoulli_numbers_triangular,
-    check_eq5,
-    check_eq17,
-    check_eq18,
-    check_kaneko,
-    check_remark,
-    check_stirling1,
-    check_thm4,
-    verify,
-)
+from polybern.identities import CATALOG_IDS, Witness, bernoulli_numbers_triangular, verify
 
 
-def perturbed(tbl: families.SequenceTable, index: int) -> families.SequenceTable:
-    values = list(tbl.values)
-    values[index] = values[index] + 1
-    return families.SequenceTable(tbl.family, tbl.k, tbl.r, tuple(values))
-
-
-def eq5_tables(p: int):
-    """The k = 1 dpb, Daehee and Carlitz tables that eq5 convolves."""
-    return families.table("dpb", p, k=1), families.table("daehee", p), families.table("carlitz", p)
+def assert_breaks_at(n0: int, ident: str, **kw):
+    """``verify`` fails at index n0, with two different rendered sides."""
+    w = verify(ident, **kw).witness
+    assert w is not None and w.n == n0 and w.lhs != w.rhs, (ident, kw, n0, w)
 
 
 def test_triangular_bernoulli_matches_known_values():
@@ -187,88 +170,109 @@ def test_report_json_round_trip():
                      "witness": None}
 
 
-# -- mutation sensitivity -------------------------------------------------------
+# -- the one comparison loop --------------------------------------------------
 
 
-def test_perturbed_carlitz_breaks_eq5_with_correct_witness():
-    p = 10
-    dpb1, dh, cz = eq5_tables(p)
+def test_a_check_that_compares_no_case_is_refused():
+    with pytest.raises(PolybernError, match="^the check compared no case$"):
+        identities._first_failure(iter(()), None)
+    with pytest.raises(PolybernError, match="^the check compared no case$"):
+        verify("eq18", ys=())
+    assert verify("eq18", ys=(1,)).passed
+
+
+@pytest.mark.parametrize("ident", CATALOG_IDS)
+def test_every_id_compares_a_case_at_its_defaults(ident, monkeypatch):
+    seen = []
+    loop = identities._first_failure
+    monkeypatch.setattr(identities, "_first_failure",
+                        lambda cases, lam: loop((seen.append(c) or c for c in cases), lam))
+    assert verify(ident).passed and seen
+
+
+# -- mutation sensitivity: one table entry perturbed, read through verify ------
+
+
+def test_perturbed_carlitz_breaks_eq5_with_correct_witness(monkeypatch):
     for n0 in range(9):
-        w = check_eq5(dpb1, dh, perturbed(cz, n0), 9)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        perturb_table(monkeypatch, "carlitz", n0)
+        assert_breaks_at(n0, "eq5", nmax=9)
 
 
-def test_perturbed_daehee_breaks_eq5_with_correct_witness():
-    p = 10
-    dpb1, dh, cz = eq5_tables(p)
+def test_perturbed_daehee_breaks_eq5_with_correct_witness(monkeypatch):
     for n0 in range(9):
-        w = check_eq5(dpb1, perturbed(dh, n0), cz, 9)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        perturb_table(monkeypatch, "daehee", n0)
+        assert_breaks_at(n0, "eq5", nmax=9)
 
 
-def test_perturbed_dpb1_breaks_eq5_with_correct_witness():
-    p = 10
-    dpb1, dh, cz = eq5_tables(p)
+def test_perturbed_dpb1_breaks_eq5_with_correct_witness(monkeypatch):
     for n0 in range(9):
-        w = check_eq5(perturbed(dpb1, n0), dh, cz, 9)
-        assert w is not None and w.n == n0 and w.lhs != w.rhs
+        perturb_table(monkeypatch, "dpb", n0, k=1)
+        assert_breaks_at(n0, "eq5", nmax=9)
 
 
-def test_perturbed_base_table_breaks_remark():
-    base = families.table("dpb", 9, k=2)
+def test_perturbed_base_table_breaks_remark(monkeypatch):
     # r = 3 takes a square and a multiply, r = 40 five squarings and a multiply
     for r in (2, 3, 40):
-        higher = families.table("dpb-higher", 9, k=2, r=r)
         for n0 in range(8):
-            w = check_remark(higher, perturbed(base, n0), r, 8)
-            assert w is not None and w.n == n0 and w.lhs != w.rhs, (r, n0)
+            perturb_table(monkeypatch, "dpb", n0, k=2)
+            assert_breaks_at(n0, "remark", k=2, r=r, nmax=8)
 
 
 def test_remark_right_side_does_not_use_millers_power(monkeypatch):
-    tables = [(families.table("dpb-higher", 11, k=k, r=r), families.table("dpb", 11, k=k), r)
-              for k in (-2, 3) for r in (2, 3, 40)]
+    cases = [(k, r) for k in (-2, 3) for r in (2, 3, 40)]
+    for k, r in cases:  # built before the patch, the tables are cached for verify
+        families.table("dpb-higher", 11, k=k, r=r)
+        families.table("dpb", 11, k=k)
 
     def refuse(*args):
         raise AssertionError("the triangular recurrence behind Miller's power is used")
 
     monkeypatch.setattr(series, "_recurrence", refuse)
-    for higher, base, r in tables:
-        assert check_remark(higher, base, r, 10) is None
+    for k, r in cases:
+        assert verify("remark", k=k, r=r, nmax=10).passed
 
 
-def test_perturbed_higher_table_breaks_remark_and_thm4():
-    base = families.table("dpb", 9, k=2)
-    higher = families.table("dpb-higher", 9, k=2, r=2)
-    rng = random.Random(0)
+def test_perturbed_higher_table_breaks_remark_and_thm4(monkeypatch):
+    small = dict(nmax=7, order=9, n_random=1, max_degree=5)
     for n0 in range(8):
-        bad = perturbed(higher, n0)
-        w = check_remark(bad, base, 2, 8)
-        assert w is not None and w.n == n0
-        w = check_thm4(bad, 2, 2, 7, 9, rng, 1, 5)
-        assert w is not None and w.n == n0
-        # thm1's route: check_thm4 at r = 1 on the dpb table
-        w = check_thm4(perturbed(base, n0), 2, 1, 7, 9, rng, 1, 5)
-        assert w is not None and w.n == n0
+        perturb_table(monkeypatch, "dpb-higher", n0, k=2, r=2)
+        assert_breaks_at(n0, "remark", k=2, r=2, nmax=8)
+        assert_breaks_at(n0, "thm4", k=2, r=2, **small)
+        # thm1 runs thm4's cases at r = 1, on the dpb table
+        perturb_table(monkeypatch, "dpb", n0, k=2)
+        assert_breaks_at(n0, "thm1", k=2, **small)
 
 
-def test_perturbed_tables_break_stirling1_and_kaneko():
-    p, nmax = 10, 9
-    higher = families.table("dpb-higher", p, k=2, r=2)
-    cz = families.table("carlitz", p)
-    dh = families.table("daehee", p)
-    pb = families.table("poly-bernoulli", p, k=-1)
-    bern = families.table("bernoulli", p)
-    assert check_stirling1(higher, cz, dh, 2, 2, nmax, p) is None
-    assert check_kaneko(pb, -1, nmax, p) is None
-    assert check_kaneko(bern, 1, nmax, p) is None
+def test_perturbed_tables_break_stirling1_and_kaneko(monkeypatch):
+    nmax = 9
+    assert verify("stirling1", k=2, r=2, nmax=nmax).passed
+    assert verify("kaneko", k=-1, nmax=nmax).passed
+    assert verify("kaneko", k=1, nmax=nmax).passed
     for n0 in range(nmax + 1):
-        for tables in ((perturbed(higher, n0), cz, dh), (higher, perturbed(cz, n0), dh),
-                       (higher, cz, perturbed(dh, n0))):
-            w = check_stirling1(*tables, 2, 2, nmax, p)
-            assert w is not None and w.n == n0 and w.lhs != w.rhs
-        for tbl, k in ((perturbed(pb, n0), -1), (perturbed(bern, n0), 1)):
-            w = check_kaneko(tbl, k, nmax, p)
-            assert w is not None and w.n == n0 and w.lhs != w.rhs
+        for family, k, r in (("dpb-higher", 2, 2), ("carlitz", None, 1), ("daehee", None, 1)):
+            perturb_table(monkeypatch, family, n0, k=k, r=r)
+            assert_breaks_at(n0, "stirling1", k=2, r=2, nmax=nmax)
+        # at k = 1 the poly-bernoulli table is the bernoulli one
+        for k in (-1, 1):
+            perturb_table(monkeypatch, "poly-bernoulli", n0, k=k)
+            assert_breaks_at(n0, "kaneko", k=k, nmax=nmax)
+
+
+def test_perturbed_higher_table_breaks_sheffer(monkeypatch):
+    # s_n is families.polynomial of the dpb-higher table: a raised entry n0
+    # adds 1 to s_n0, so <g|s_n0> moves by g(0) = 1 at k = 0
+    for n0 in range(7):
+        perturb_table(monkeypatch, "dpb-higher", n0, k=2, r=1)
+        assert_breaks_at(n0, "sheffer16", k=2, nmax=6)
+        perturb_table(monkeypatch, "dpb-higher", n0, k=-1, r=2)
+        assert_breaks_at(n0, "sheffer23", k=-1, r=2, nmax=6)
+
+
+def test_perturbed_weight_zero_table_breaks_k0(monkeypatch):
+    for n0 in range(9):
+        perturb_table(monkeypatch, "dpb", n0, k=0)
+        assert_breaks_at(n0, "k0", nmax=8)
 
 
 @pytest.mark.parametrize("ident", CATALOG_IDS)
@@ -281,28 +285,23 @@ def test_every_id_refuses_an_order_r_below_one(ident, capsys):
         assert capsys.readouterr() == ("", f"polybern: error: {message}\n")
 
 
-def test_perturbed_table_breaks_eq17():
-    tbl = families.table("dpb", 9, k=2)
-    for n0 in range(7):
-        w = check_eq17(perturbed(tbl, n0), 2, 7, 9)
-        assert w is not None and w.n == n0
+def test_perturbed_table_breaks_eq17(monkeypatch):
+    for k in (1, 2):  # eq18 cannot see a perturbed table at k = 1, eq17 must
+        for n0 in range(8):
+            perturb_table(monkeypatch, "dpb", n0, k=k)
+            assert_breaks_at(n0, "eq17", k=k, nmax=7, order=9)
 
 
-def test_eq18_is_structural_but_catalog_still_catches_the_mutation():
+def test_eq18_is_structural_but_catalog_still_catches_the_mutation(monkeypatch):
     # eq18 holds for any binomial-type family built from a single table
     # (both sides reduce to the same derivative expansion), so it cannot
     # see a corrupted table; eq17's series route does.
-    tbl = families.table("dpb", 10, k=1)
-    assert check_eq18(perturbed(tbl, 3), 8, (Fraction(1),)) is None
-    w = check_eq17(perturbed(tbl, 3), 1, 8, 10)
-    assert w is not None and w.n == 3
+    perturb_table(monkeypatch, "dpb", 3, k=1)
+    assert verify("eq18", k=1, nmax=8, ys=(1,)).passed
+    assert_breaks_at(3, "eq17", k=1, nmax=8, order=10)
 
 
-def test_witness_values_are_the_real_values():
+def test_witness_values_are_the_real_values(monkeypatch):
     # the witness carries the actual differing values, rendered exactly
-    p = 10
-    dpb1, dh, cz = eq5_tables(p)
-    w = check_eq5(perturbed(dpb1, 0), dh, cz, 9)
-    assert w.n == 0
-    assert w.lhs == "2"  # 1 + 1 after perturbation
-    assert w.rhs == "1"
+    perturb_table(monkeypatch, "dpb", 0, k=1)
+    assert verify("eq5", nmax=9).witness == Witness(0, "2", "1")  # 1 + 1 after perturbation

@@ -27,7 +27,7 @@ from polybern.families import _gf, _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
 from polybern.ring import LAMBDA, LambdaPoly, dot, power
 from polybern.series import Series, _stirling1_rows, stirling1_transform
-from polybern.umbral import op_apply, pair, sheffer_failure
+from polybern.umbral import op_apply, pair, sheffer_cases
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 lambda_polys = st.lists(fractions, max_size=3).map(LambdaPoly)
@@ -316,7 +316,7 @@ def test_the_sheffer_check_keeps_the_pairing_precision_error():
     s = [Polynomial.monomial(n) for n in range(5)]
     with pytest.raises(PrecisionExceeded, match=r"^pairing needs series precision > "
                        r"polynomial degree \(3 <= 3\)$"):
-        sheffer_failure(Series.one(3), Series.t(6), s, 4)
+        list(sheffer_cases(Series.one(3), Series.t(6), s, 4))
 
 
 @pytest.mark.parametrize("c", [Fraction(-1, 2), LAMBDA + 1])

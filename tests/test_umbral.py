@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bernoulli_oracle, rand_polynomial, rand_series
-from polybern import umbral
-from polybern.errors import NotDelta, NotInvertible, PrecisionExceeded
+from polybern import identities, umbral
+from polybern.errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from polybern.polynomials import Polynomial
 from polybern.ring import LAMBDA, LambdaPoly
 from polybern.series import Series
@@ -17,7 +17,7 @@ from polybern.umbral import (
     invariant_integral,
     op_apply,
     pair,
-    sheffer_failure,
+    sheffer_cases,
     sheffer_regenerate,
 )
 
@@ -203,9 +203,14 @@ def test_difference_property_on_monomials():
 # -- Sheffer orthogonality ------------------------------------------------------------
 
 
+def sheffer_witness(g, f, s, nmax):
+    """The first Sheffer case whose sides differ, as the catalog renders it."""
+    return identities._first_failure(sheffer_cases(g, f, s, nmax), None)
+
+
 def test_monomials_are_sheffer_for_identity_pair():
     s = [Polynomial.monomial(n) for n in range(7)]
-    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) is None
+    assert sheffer_witness(Series.one(8), Series.t(8), s, 6) is None
 
 
 def test_sheffer_regenerate_identity_pair():
@@ -221,7 +226,7 @@ def test_falling_factorials_are_sheffer_for_exp_minus_one():
     for i in range(8):
         s.append(p)
         p = p * Polynomial([-i, 1])
-    assert sheffer_failure(Series.one(9), Series.t(9).exp() - 1, s, 7) is None
+    assert sheffer_witness(Series.one(9), Series.t(9).exp() - 1, s, 7) is None
 
 
 def test_abel_polynomials_are_sheffer_for_t_exp_t():
@@ -232,34 +237,39 @@ def test_abel_polynomials_are_sheffer_for_t_exp_t():
 
     s = [abel(n) for n in range(7)]
     f = Series.t(10) * Series.t(10).exp()
-    assert sheffer_failure(Series.one(10), f, s, 6) is None
+    assert sheffer_witness(Series.one(10), f, s, 6) is None
 
 
 def test_sheffer_detects_wrong_sequence():
     s = [Polynomial.monomial(n) for n in range(7)]
     s[3] = s[3] + Polynomial.constant(1)
-    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) is not None
+    assert sheffer_witness(Series.one(8), Series.t(8), s, 6) == (3, "1", "0")
 
 
 def test_sheffer_witness_text(monkeypatch):
     s = [Polynomial.monomial(n) for n in range(7)]
     s[3] = s[3] + Polynomial.constant(LAMBDA)
-    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) == (3, "<g*f^0|s_3> = lambda", "0")
+    assert sheffer_witness(Series.one(8), Series.t(8), s, 6) == (3, "lambda", "0")
     # a regeneration failure prints both polynomials
     s = [Polynomial.monomial(n) for n in range(7)]
     monkeypatch.setattr(umbral, "sheffer_regenerate",
                         lambda g, f, count: s[:2] + [Polynomial([1, -2, 3])] + s[3:count])
-    assert sheffer_failure(Series.one(8), Series.t(8), s, 6) == (2, "3*x^2 - 2*x + 1", "x^2")
+    assert sheffer_witness(Series.one(8), Series.t(8), s, 6) == (2, "3*x^2 - 2*x + 1", "x^2")
 
 
 def test_sheffer_preconditions():
     s = [Polynomial.monomial(n) for n in range(4)]
     with pytest.raises(NotDelta):
-        sheffer_failure(Series.one(6), Series.one(6), s, 3)
+        sheffer_cases(Series.one(6), Series.one(6), s, 3)
     with pytest.raises(NotInvertible):
-        sheffer_failure(Series.t(6), Series.t(6), s, 3)
+        sheffer_cases(Series.t(6), Series.t(6), s, 3)
     with pytest.raises(NotDelta):
-        sheffer_failure(Series.one(6), Series([0, LAMBDA, 1], 6), s, 3)
+        sheffer_cases(Series.one(6), Series([0, LAMBDA, 1], 6), s, 3)
+    # each is refused at the call, before a case is asked for
+    with pytest.raises(PolybernError, match=r"^need polynomials up to index 4, got 4$"):
+        sheffer_cases(Series.one(6), Series.t(6), s, 4)
+    with pytest.raises(PolybernError, match=r"^s_2 must have degree 2, got 3$"):
+        sheffer_cases(Series.one(6), Series.t(6), s[:2] + s[3:] * 2, 3)
 
 
 # -- polynomial type ------------------------------------------------------------------
