@@ -69,7 +69,8 @@ class Polynomial(DenseRow):
     specialize = DenseRow.specialize
 
     def __truediv__(self, other):
-        c = coerce_scalar(other)
+        # a nonzero int divides each coefficient as it is, with no Fraction built
+        c = other if type(other) is int and other else coerce_scalar(other)
         return Polynomial._of([x / c for x in self._coeffs])
 
     def __pow__(self, n: int) -> Polynomial:

@@ -5,10 +5,13 @@ fully reduced with a positive denominator, so equality is structural.
 ``LambdaPoly`` is a dense polynomial in the indeterminate ``lambda`` over Q,
 stored as a row of integer numerators over one positive common denominator and
 kept canonical (no trailing zero, the gcd of the denominator and all
-numerators is 1). Its arithmetic runs on the integer rows, one gcd per
-operation (none to scale by an int), and it renders from them: no Fraction per
-coefficient. Plain rationals embed implicitly as degree-0 polynomials, so
-mixed arithmetic needs no explicit coercion at call sites.
+numerators is 1). Its arithmetic runs on the integer rows and renders from
+them: no Fraction per coefficient. A sum, difference or product of two rows
+divides out one gcd of the whole result; scaling by a rational p/q (an int, a
+Fraction, or a division) divides out only the cross gcds gcd(den, p) and
+gcd(q, *num), as the row is canonical already. Plain rationals embed
+implicitly as degree-0 polynomials, so mixed arithmetic needs no explicit
+coercion at call sites.
 
 This module also owns the dense coefficient kernel that ``Polynomial``
 (Q[lambda][x]) and ``Series`` (truncated series in t) share over their
@@ -24,7 +27,8 @@ behind an output coefficient (of a product, a pairing, an operator action,
 a translate or that recurrence) is one ``dot``: weighted integer rows
 summed over a running common denominator and reduced once, not once per
 term. ``dot`` and every ``LambdaPoly`` product share one inner loop, the
-integer-row multiply-accumulate ``_mac``.
+integer-row multiply-accumulate ``_mac``; ``dot`` adds a Q scalar against a
+row straight into its accumulator.
 """
 
 from __future__ import annotations
@@ -124,14 +128,15 @@ def dot(xs, ys, weights=None, divisor: int = 1):
     Fraction when every input is a Q scalar, else a LambdaPoly."""
     acc, den, in_q = [], 1, True
     for x, y, w in zip(xs, ys, repeat(1) if weights is None else weights):
+        # a LambdaPoly gives its integer row, a Q scalar one int numerator
         if type(x) is LambdaPoly:
             a, da, in_q = x._num, x._den, False
         else:
-            a, da = (x.numerator,) if x else (), x.denominator
+            a, da = x.numerator, x.denominator
         if type(y) is LambdaPoly:
             b, db, in_q = y._num, y._den, False
         else:
-            b, db = (y.numerator,) if y else (), y.denominator
+            b, db = y.numerator, y.denominator
         if not (a and b and w):
             continue
         d = da * db
@@ -139,7 +144,20 @@ def dot(xs, ys, weights=None, divisor: int = 1):
             s = d // gcd(den, d)
             acc = [c * s for c in acc]
             den *= s
-        _mac(acc, a, b, den // d * w)
+        s = den // d * w
+        if type(a) is int:
+            a, b = b, a
+        if type(b) is not int:
+            _mac(acc, a, b, s)
+            continue
+        # a Q scalar against a row or a scalar: added straight into acc
+        s *= b
+        if type(a) is int:
+            a = (a,)
+        if len(acc) < len(a):
+            acc += [0] * (len(a) - len(acc))
+        for j, v in enumerate(a):
+            acc[j] += s * v
     den *= divisor
     if in_q:
         return Fraction(acc[0], den) if acc else _ZERO
@@ -221,10 +239,13 @@ def format_terms(coeffs, var: str, den: int = 1) -> str:
 def coerce_scalar(value):
     """A Q or Q[lambda] coefficient: Fractions and LambdaPolys pass as they
     are, ints become Fractions, anything else is a TypeError."""
-    if isinstance(value, (Fraction, LambdaPoly)):
+    # the exact types first: isinstance against Fraction goes through the numbers ABCs
+    if type(value) in (Fraction, LambdaPoly):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, (Fraction, LambdaPoly)):
+        return value
     raise TypeError(f"not a Q or Q[lambda] coefficient: {value!r}")
 
 
@@ -295,11 +316,12 @@ class DenseRow:
         return f"{type(self).__name__}({self})"
 
 
-def _as_fraction(value) -> Fraction | None:
-    if isinstance(value, Fraction):
+def _as_fraction(value) -> Fraction | int | None:
+    """A Q scalar as it is, read through ``numerator`` and ``denominator``
+    (a Fraction or an int), or None."""
+    # the exact types first: isinstance against Fraction goes through the numbers ABCs
+    if type(value) in (Fraction, int) or isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     return None
 
 
@@ -322,6 +344,39 @@ def _normalised(num: list, den: int) -> LambdaPoly:
     return _lp(tuple(num), den)
 
 
+def _difference(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
+    """``p - q`` in one pass over both rows, reduced by one gcd."""
+    a, b = p._num, q._num
+    if not b:
+        return p
+    if not a:
+        return -q
+    da, db = p._den, q._den
+    if da == db:
+        return _normalised([x - y for x, y in zip_longest(a, b, fillvalue=0)], da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return _normalised([x * sa - y * sb for x, y in zip_longest(a, b, fillvalue=0)], da * sa)
+
+
+def _scaled(x: LambdaPoly, p: int, q: int) -> LambdaPoly:
+    """``x * p/q`` for coprime ints p and q > 0, canonical as built: with
+    g1 = gcd(den, p) and g2 = gcd(q, *num), the row num/g2 * p/g1 over
+    den/g1 * q/g2 keeps, for each prime of its denominator, an entry that
+    the prime does not divide, because gcd(den, *num) = 1."""
+    if not p:
+        return _lp((), 1)
+    num, den = x._num, x._den
+    g1 = gcd(den, p)
+    g2 = gcd(q, *num) if q != 1 else 1
+    s = p // g1
+    if g2 != 1:
+        num = tuple([c // g2 * s for c in num])
+    elif s != 1:
+        num = tuple([c * s for c in num])
+    return _lp(num, den // g1 * (q // g2))
+
+
 class LambdaPoly:
     """Polynomial in lambda over Q: integer numerators over one denominator.
 
@@ -330,10 +385,13 @@ class LambdaPoly:
     Values are immutable and kept canonical, so equality is structural:
     ``_den > 0``, ``_num`` has no trailing zero, ``gcd(_den, *_num) == 1``,
     and the zero polynomial is ``((), 1)``. Every operation works on the
-    integer rows and divides out one gcd at the end; ``m * p`` for an int m
-    scales the row by m/gcd(den, m), which stays canonical, and ``str``
-    writes each n_i/den from ints. ``coeffs`` and ``constant_term`` build
-    Fractions on demand, off every hot path.
+    integer rows. A sum, difference (one pass over both rows) or product of
+    two rows divides out one gcd at the end. A scalar p/q (an int or a
+    Fraction factor, an int or a Fraction divisor, taken as its inverse)
+    needs no gcd over the result: with g1 = gcd(den, p) and
+    g2 = gcd(q, *num), the row num/g2 * p/g1 over den/g1 * q/g2 is
+    canonical as built. ``str`` writes each n_i/den from ints. ``coeffs``
+    and ``constant_term`` build Fractions on demand, off every hot path.
     """
 
     __slots__ = ("_num", "_den")
@@ -413,20 +471,19 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _difference(self, rhs)
 
     def __rsub__(self, other):
         lhs = self._coerce(other)
         if lhs is None:
             return NotImplemented
-        return lhs + (-self)
+        return _difference(lhs, self)
 
     def __mul__(self, other):
         if type(other) is int:
-            # with g = gcd(den, m), m * num / den is canonical over den // g as it is
-            g = gcd(self._den, other)
-            s = other // g
-            return _lp(tuple([c * s for c in self._num]) if s else (), self._den // g)
+            return _scaled(self, other, 1)
+        if type(other) is Fraction:
+            return _scaled(self, other.numerator, other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -438,8 +495,10 @@ class LambdaPoly:
         q = _as_fraction(other)
         if q is None:
             return NotImplemented
-        inv = 1 / q  # a reduced Fraction with positive denominator
-        return _normalised([c * inv.numerator for c in self._num], self._den * inv.denominator)
+        m, d = q.numerator, q.denominator  # self / (m/d) is self * d/m
+        if not m:
+            raise ZeroDivisionError("Fraction(1, 0)")  # as inverting a zero Fraction does
+        return _scaled(self, -d, -m) if m < 0 else _scaled(self, d, m)
 
     def __pow__(self, n: int) -> LambdaPoly:
         if not isinstance(n, int) or n < 0:

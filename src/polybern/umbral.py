@@ -4,7 +4,8 @@ A series f acts on polynomials two ways: as a linear functional via
 <f|p> = sum_n p_n * n! * [t^n]f, and as an operator via t^k p = p^(k).
 A pairing is one ``ring.dot`` over the row n! p_n (``families._values``),
 on which t^k is a shift by k; each coefficient of an action is one
-``ring.dot`` too, reduced once.
+``ring.dot`` too, reduced once, its pairs summed from the end of the rows
+that holds the smaller coefficients.
 The measure-style integral on polynomials is realized exactly as the
 pairing against (t/(e^t - 1))^r, which takes x^n to the Bernoulli number
 B_n when r = 1.
@@ -20,7 +21,7 @@ from math import factorial, perm
 from . import families
 from .errors import NotDelta, NotInvertible, PolybernError, PrecisionExceeded
 from .polynomials import Polynomial
-from .ring import dot
+from .ring import LambdaPoly, dot
 from .series import Series, invert_constant, precision_cache
 
 __all__ = [
@@ -52,8 +53,23 @@ def op_apply(f: Series, p: Polynomial) -> Polynomial:
     coefficient is sum_k f_k (j+k)!/j! p_(j+k), one ``dot`` of f with p."""
     _check_precision(f, p, "operator action")
     c = p.coeffs
-    return Polynomial._of([dot(f.coeffs, c[j:], [perm(j + k, k) for k in range(len(c) - j)])
-                           for j in range(len(c))])
+    n = len(c)
+    # each dot starts at the end of the rows with the smaller entries: the
+    # larger ones come last, so the running denominator that scales every
+    # term stays small until then
+    if n > 1 and _height(f[n - 1]) + _height(c[-1]) < _height(f[0]) + _height(c[0]):
+        fr, cr = f.coeffs[n - 1::-1], c[::-1]
+        return Polynomial._of([dot(fr[j:], cr[:n - j], [perm(j + k, k) for k in range(n - 1 - j, -1, -1)])
+                               for j in range(n)])
+    return Polynomial._of([dot(f.coeffs, c[j:], [perm(j + k, k) for k in range(n - j)])
+                           for j in range(n)])
+
+
+def _height(x) -> int:
+    """Bits of the denominator and of the largest numerator of a coefficient."""
+    if type(x) is LambdaPoly:
+        return x._den.bit_length() + max([c.bit_length() for c in x._num], default=0)
+    return x.denominator.bit_length() + x.numerator.bit_length()
 
 
 @precision_cache

@@ -5,7 +5,7 @@ under that recurrence, pairing, operator action and translation) against
 the independent oracles of conftest, over Q, Q[lambda] and mixed rows."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +27,7 @@ from polybern.families import _gf, _values, dpb_higher_gf, poly_bernoulli_gf
 from polybern.polynomials import Polynomial
 from polybern.ring import LAMBDA, LambdaPoly, dot, power
 from polybern.series import Series, _stirling1_rows, stirling1_transform
+from polybern import umbral
 from polybern.umbral import op_apply, pair, sheffer_cases
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -220,6 +221,37 @@ def test_dot_matches_the_sum_of_products(case, weights, divisor):
     assert type(weighted) is (Fraction if in_q else LambdaPoly)
 
 
+def lifted(c) -> LambdaPoly:
+    return c if isinstance(c, LambdaPoly) else LambdaPoly.constant(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(WIDE)).flatmap(lambda ring: st.tuples(*[st.lists(
+    st.one_of(WIDE[ring], st.just(Fraction(0)), st.just(LambdaPoly())), max_size=6)] * 2)),
+       st.lists(st.integers(-3, 3), max_size=6))
+def test_dot_of_scalars_against_rows_matches_the_product_route(case, weights):
+    # every scalar lifted to a LambdaPoly: row-by-row products summed by __add__
+    xs, ys = case
+    got = dot(xs, ys, weights)
+    want = sum((lifted(w) * lifted(x) * lifted(y) for w, x, y in zip(weights, xs, ys)), LambdaPoly())
+    n = min(len(xs), len(ys), len(weights))
+    if any(isinstance(c, LambdaPoly) for c in xs[:n] + ys[:n]):
+        assert type(got) is LambdaPoly
+        assert (got._num, got._den) == (want._num, want._den)
+        assert not got._num or (got._num[-1] and gcd(got._den, *got._num) == 1)
+    else:
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("xs, ys", [([Fraction(1, 2)], [LambdaPoly()]), ([LambdaPoly()], [3]),
+                                    ([LambdaPoly(), 3], [Fraction(2), Fraction(1, 3)]),
+                                    ([0, Fraction(5, 7)], [LambdaPoly(), 2**90])])
+def test_dot_with_only_a_zero_lambda_poly_is_a_lambda_poly(xs, ys):
+    got = dot(xs, ys)
+    assert type(got) is LambdaPoly
+    assert got == sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(ring_rows(0, 7), st.lists(st.one_of(fractions, lambda_polys), min_size=8, max_size=9))
 def test_pairing_and_operator_action_match_the_loops(case, f):
@@ -231,6 +263,21 @@ def test_pairing_and_operator_action_match_the_loops(case, f):
     action = op_apply(Series(f), Polynomial(p))
     assert action == Polynomial(op_apply_list(f, p))
     assert_stays_in_q(ring, [got, *action.coeffs])
+
+
+@pytest.mark.parametrize("big", [0, -1])
+def test_operator_action_sums_from_the_smaller_end(big, monkeypatch):
+    # one far larger coefficient of f and of p at the bottom or the top: the
+    # action starts each dot at the other end, with the same exact result
+    f = [Fraction(1, k + 2) for k in range(6)]
+    p = [Fraction(k + 1, 3) for k in range(6)]
+    f[big] = Fraction(3**200 + 1, 2**150)
+    p[big] = LambdaPoly([Fraction(7**90, 5**80), Fraction(-1, 3)])
+    firsts = []
+    monkeypatch.setattr(umbral, "dot", lambda xs, ys, w: firsts.append(xs[0]) or dot(xs, ys, w))
+    action = op_apply(Series(f), Polynomial(p))
+    assert firsts[0] is f[-1 - big]
+    assert exact(action.coeffs) == exact(Polynomial(op_apply_list(f, p)).coeffs)
 
 
 @settings(max_examples=80, deadline=None)

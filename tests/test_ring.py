@@ -336,9 +336,45 @@ def test_int_scaling_matches_the_general_product(m):
         assert True * p == p
 
 
+# numerators with zero and negative ones, over denominators from 1 to above 2^80
+wide_dens = st.sampled_from([1, 2, 6, 7, 3**20, 2**61, 10**25, 3 * 2**89])
+wide_qs = st.builds(Fraction, st.integers(-10**30, 10**30), wide_dens)
+wide_rows = st.lists(st.one_of(st.just(Fraction(0)), wide_qs), max_size=5)
+wide_ints = st.one_of(st.integers(-9, 9), st.integers(-2**90, 2**90), st.sampled_from([3**20, -(2**61)]))
+
+
+@given(wide_rows, wide_rows, st.one_of(wide_qs, wide_ints))
+def test_scalar_fast_paths_match_the_general_route(a, b, q):
+    p, r = LambdaPoly(a), LambdaPoly(b)
+    lifted = LambdaPoly.constant(q)
+    cases = [
+        (p - r, p + (-r)), (r - p, r + (-p)), (p - p, LambdaPoly()),
+        (p - q, p + (-lifted)), (q - p, lifted + (-p)),
+        # a LambdaPoly factor takes the row-by-row product and its one gcd
+        (p * q, p * lifted), (q * p, p * lifted),
+    ]
+    if q:
+        cases.append((p / q, p * LambdaPoly.constant(1 / Fraction(q))))
+    for got, want in cases:
+        assert_canonical(got)
+        assert (got._num, got._den) == (want._num, want._den)
+
+
 def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        LAMBDA / 0
+    rows = (LAMBDA, LambdaPoly(), lp(Fraction(-7, 2**61), Fraction(1, 6)),
+            Polynomial((1, LAMBDA)), Polynomial((Fraction(1, 2),)))
+    for zero in (0, Fraction(0)):
+        for p in rows:
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+
+
+@given(st.lists(st.one_of(wide_qs, wide_rows.map(LambdaPoly)), max_size=5), wide_ints.filter(bool))
+def test_polynomial_division_by_an_int_matches_the_fraction_divisor(coeffs, m):
+    p = Polynomial(coeffs)
+    got, want = p / m, p / Fraction(m)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_first_power_is_the_value_itself():
