@@ -111,7 +111,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help=f"family order (default 1, r <= {families.MAX_R})")
     common.add_argument("--n", type=int, default=None,
                         help=f"row count / index (<= {families.MAX_PRECISION}) / identity "
-                             f"range (<= {families.MAX_CHECK_PRECISION - 2})")
+                             f"range, the test polynomials' degree for thm2 and thm3 "
+                             f"(<= {families.MAX_CHECK_PRECISION - 2})")
     common.add_argument("--order", type=int, default=None,
                         help=f"working precision (default {DEFAULT_ORDER}; <= "
                              f"{families.MAX_PRECISION}, or <= {families.MAX_CHECK_PRECISION} "
@@ -233,9 +234,12 @@ def cmd_verify(args) -> int:
     if "==" in args.target:
         report = _verify_equation(args)
     else:
+        # an id that reads no nmax (thm2, thm3) takes --n as its polynomial degree
+        entry = identities._CATALOG.get(args.target)
+        key = "max_degree" if entry and "nmax" not in entry.params else "nmax"
         report = identities.verify(
-            args.target, k=args.k, r=args.r, nmax=args.n,
-            order=args.order, lam=args.lam, seed=args.seed)
+            args.target, k=args.k, r=args.r, order=args.order, lam=args.lam,
+            seed=args.seed, **{key: args.n})
     sys.stdout.write(render_report(report, args.fmt))
     return 0 if report.passed else 1
 

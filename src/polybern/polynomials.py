@@ -47,7 +47,7 @@ class Polynomial(DenseRow):
         return len(self._coeffs) - 1
 
     def coefficient(self, n: int):
-        return self._coeffs[n] if n <= self.degree else _ZERO
+        return self._coeffs[n] if 0 <= n <= self.degree else _ZERO
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

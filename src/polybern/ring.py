@@ -6,12 +6,13 @@ fully reduced with a positive denominator, so equality is structural.
 stored as a row of integer numerators over one positive common denominator and
 kept canonical (no trailing zero, the gcd of the denominator and all
 numerators is 1). Its arithmetic runs on the integer rows and renders from
-them: no Fraction per coefficient. A sum, difference or product of two rows
-divides out one gcd of the whole result; scaling by a rational p/q (an int, a
-Fraction, or a division) divides out only the cross gcds gcd(den, p) and
-gcd(q, *num), as the row is canonical already. Plain rationals embed
-implicitly as degree-0 polynomials, so mixed arithmetic needs no explicit
-coercion at call sites.
+them, with no Fraction per coefficient except in ``divide_exact``, which
+divides over ``coeffs``. A sum or difference (one signed pass) or a product of
+two rows divides out one gcd of the whole result; scaling by a rational p/q
+(an int, a Fraction, or a division) divides out only the cross gcds
+gcd(den, p) and gcd(q, *num), as the row is canonical already. Plain
+rationals embed implicitly as degree-0 polynomials, so mixed arithmetic needs
+no explicit coercion at call sites.
 
 This module also owns the dense coefficient kernel that ``Polynomial``
 (Q[lambda][x]) and ``Series`` (truncated series in t) share over their
@@ -167,7 +168,7 @@ def dot(xs, ys, weights=None, divisor: int = 1):
 def mul_coeffs(a, b, n: int) -> list:
     """The first ``n`` coefficients of the product of ``a`` and ``b``;
     ``n = len(a) + len(b) - 1`` gives the full product."""
-    if all(type(c) is Fraction for c in (*a, *b)):  # an exact type test, as in _coerce
+    if all(type(c) is Fraction for c in (*a, *b)):  # an exact type test, as in _as_fraction
         # coefficient k reads a[:k+1] and b[:k+1] only, so both rows grow with k
         ra, rb, out = FractionRow(), FractionRow(), []
         for k in range(n):
@@ -344,19 +345,21 @@ def _normalised(num: list, den: int) -> LambdaPoly:
     return _lp(tuple(num), den)
 
 
-def _difference(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
-    """``p - q`` in one pass over both rows, reduced by one gcd."""
+def _combine(p: LambdaPoly, q: LambdaPoly, sign: int) -> LambdaPoly:
+    """``p + sign*q`` for sign 1 or -1: one pass over both rows, one gcd."""
     a, b = p._num, q._num
     if not b:
         return p
     if not a:
-        return -q
-    da, db = p._den, q._den
-    if da == db:
-        return _normalised([x - y for x, y in zip_longest(a, b, fillvalue=0)], da)
-    g = gcd(da, db)
-    sa, sb = db // g, da // g
-    return _normalised([x * sa - y * sb for x, y in zip_longest(a, b, fillvalue=0)], da * sa)
+        return q if sign == 1 else -q
+    g = gcd(p._den, q._den)
+    sa, sb = q._den // g, p._den // g * sign
+    if len(a) < len(b):  # the longer row, scaled, takes the shorter one in place
+        a, b, sa, sb = b, a, sb, sa
+    out = list(a) if sa == 1 else [x * sa for x in a]
+    for i, y in enumerate(b):
+        out[i] += y * sb
+    return _normalised(out, p._den // g * q._den)
 
 
 def _scaled(x: LambdaPoly, p: int, q: int) -> LambdaPoly:
@@ -384,13 +387,13 @@ class LambdaPoly:
     the tuple ``_num = (n_0, ..., n_d)`` of ints and one int ``_den``.
     Values are immutable and kept canonical, so equality is structural:
     ``_den > 0``, ``_num`` has no trailing zero, ``gcd(_den, *_num) == 1``,
-    and the zero polynomial is ``((), 1)``. Every operation works on the
-    integer rows. A sum, difference (one pass over both rows) or product of
-    two rows divides out one gcd at the end. A scalar p/q (an int or a
-    Fraction factor, an int or a Fraction divisor, taken as its inverse)
-    needs no gcd over the result: with g1 = gcd(den, p) and
-    g2 = gcd(q, *num), the row num/g2 * p/g1 over den/g1 * q/g2 is
-    canonical as built. ``str`` writes each n_i/den from ints. ``coeffs``
+    and the zero polynomial is ``((), 1)``. Every operation but
+    ``divide_exact`` works on the integer rows. A sum or difference (one
+    signed pass over both rows) or a product of two rows divides out one gcd
+    at the end. A scalar p/q (an int or a Fraction factor, an int or a
+    Fraction divisor, taken as its inverse) needs no gcd over the result:
+    with g1 = gcd(den, p) and g2 = gcd(q, *num), the row num/g2 * p/g1 over
+    den/g1 * q/g2 is canonical as built. ``str`` writes each n_i/den from ints. ``coeffs``
     and ``constant_term`` build Fractions on demand, off every hot path.
     """
 
@@ -437,9 +440,7 @@ class LambdaPoly:
     def _coerce(other):
         if isinstance(other, LambdaPoly):
             return other
-        # isinstance(other, Fraction) goes through the numbers ABCs; the
-        # exact type test is the fast path for the two common scalars.
-        q = other if type(other) in (Fraction, int) else _as_fraction(other)
+        q = _as_fraction(other)
         if q is None:
             return None
         return _lp((q.numerator,) if q else (), q.denominator)
@@ -448,19 +449,7 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._num, rhs._num
-        if not b:
-            return self
-        if not a:
-            return rhs
-        da, db = self._den, rhs._den
-        if da != db:
-            g = gcd(da, db)
-            sa, sb = db // g, da // g
-            a = [c * sa for c in a]
-            b = [c * sb for c in b]
-            da *= sa
-        return _normalised(add_coeffs(a, b), da)
+        return _combine(self, rhs, 1)
 
     __radd__ = __add__
 
@@ -471,13 +460,13 @@ class LambdaPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _difference(self, rhs)
+        return _combine(self, rhs, -1)
 
     def __rsub__(self, other):
         lhs = self._coerce(other)
         if lhs is None:
             return NotImplemented
-        return _difference(lhs, self)
+        return _combine(lhs, self, -1)
 
     def __mul__(self, other):
         if type(other) is int:

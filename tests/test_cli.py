@@ -156,6 +156,19 @@ def test_unknown_identity_exits_two():
     assert "unknown identity" in proc.stderr
 
 
+@pytest.mark.parametrize("ident", ["thm2", "thm3"])
+def test_an_id_without_nmax_reads_n_as_its_polynomial_degree(capsys, ident):
+    assert cli.main(["verify", ident, "--k", "2", "--n", "5", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["max_degree"] == 5
+    assert report == identities.verify(ident, k=2, max_degree=5).to_json_dict()
+    assert cli.main(["verify", ident, "--n", "31"]) == 2
+    assert capsys.readouterr() == (
+        "", "polybern: error: max_degree + 2 must satisfy max_degree + 2 <= 32, got 33\n")
+    assert cli.main(["verify", ident + "x", "--n", "5"]) == 2
+    assert capsys.readouterr() == ("", f"polybern: error: unknown identity '{ident}x'\n")
+
+
 def test_syntax_error_exits_two():
     proc = run_cli("eval", "t +")
     assert proc.returncode == 2

@@ -76,12 +76,11 @@ def test_readme_catalog_matches_records():
         fixed = dict(entry.fixed)
         assert reads == ", ".join(f"`--{name}`" for name in ("k", "r", "seed")
                                   if name in entry.params and name not in fixed), ident
-        if "max_degree" not in entry.params:
-            rule = f"`--n` + {entry.slack}"
-        elif "nmax" in entry.params:
+        # the CLI passes --n as max_degree to an id that reads no nmax
+        if "nmax" in entry.params and "max_degree" in entry.params:
             rule = f"max(`--n`, 8) + {entry.slack}"
         else:
-            rule = str(8 + entry.slack)
+            rule = f"`--n` + {entry.slack}"
         assert order == rule, ident
 
 

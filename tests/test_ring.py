@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import render_reference
 from polybern.polynomials import Polynomial
@@ -152,6 +152,12 @@ def test_monomial_is_canonical_as_built():
     assert LambdaPoly.monomial(2, Fraction(-4, 6))._den == 3
     with pytest.raises(ValueError, match="monomial degree"):
         LambdaPoly.monomial(-1)
+
+
+def test_polynomial_coefficient_is_zero_outside_its_degrees():
+    p = Polynomial((1, 2, 3))
+    assert [p.coefficient(n) for n in range(-4, 6)] == [0, 0, 0, 0, 1, 2, 3, 0, 0, 0]
+    assert Polynomial(()).coefficient(-1) == 0 and Polynomial(()).coefficient(0) == 0
 
 
 def test_polynomial_refuses_negative_degree_and_derivative_order():
@@ -343,13 +349,31 @@ wide_rows = st.lists(st.one_of(st.just(Fraction(0)), wide_qs), max_size=5)
 wide_ints = st.one_of(st.integers(-9, 9), st.integers(-2**90, 2**90), st.sampled_from([3**20, -(2**61)]))
 
 
+def fraction_row(x) -> tuple:
+    return x.coeffs if isinstance(x, LambdaPoly) else (Fraction(x),)
+
+
+# equal denominators in both rows and the scalar, and a zero row
+@example([Fraction(1, 6), Fraction(-5, 6), Fraction(7, 6)], [Fraction(5, 6)], Fraction(-1, 6))
+@example([Fraction(3, 2**61), Fraction(0), Fraction(-1, 3 * 2**89)], [], 0)
 @given(wide_rows, wide_rows, st.one_of(wide_qs, wide_ints))
-def test_scalar_fast_paths_match_the_general_route(a, b, q):
+def test_sums_and_differences_match_fraction_rows(a, b, q):
     p, r = LambdaPoly(a), LambdaPoly(b)
+    same_den = LambdaPoly([c + 1 for c in a])  # each c + 1 keeps the denominator of c
+    for x, y in ((p, r), (r, p), (p, q), (q, p), (p, p), (p, same_den), (same_den, p)):
+        for sign, got in ((1, x + y), (-1, x - y)):
+            # per coefficient over Fractions, rebuilt through LambdaPoly.__init__
+            want = LambdaPoly(ref_add(fraction_row(x), [sign * c for c in fraction_row(y)]))
+            assert type(got) is LambdaPoly
+            assert_canonical(got)
+            assert (got._num, got._den) == (want._num, want._den)
+
+
+@given(wide_rows, st.one_of(wide_qs, wide_ints))
+def test_scalar_fast_paths_match_the_general_route(a, q):
+    p = LambdaPoly(a)
     lifted = LambdaPoly.constant(q)
     cases = [
-        (p - r, p + (-r)), (r - p, r + (-p)), (p - p, LambdaPoly()),
-        (p - q, p + (-lifted)), (q - p, lifted + (-p)),
         # a LambdaPoly factor takes the row-by-row product and its one gcd
         (p * q, p * lifted), (q * p, p * lifted),
     ]
