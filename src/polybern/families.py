@@ -14,9 +14,12 @@ with L = log(1 + lambda*t)/lambda, each degenerate table is the
 Stirling-1 rows for the transform of B_(m+1)/(m + 1) and for the Cauchy
 numbers. The Stirling triangles these sums read depend on neither k nor r,
 so each is built once per session by a cached row builder and shared by
-every table. The only series operation left is dpb-higher's ``** r``, over
-Q. Each ``*_gf`` builder, uncached, is its family's cached table over n!;
-it checks k, r and the precision (an int >= 1, unbounded) on every call.
+every table. A table, like a triangle, grows: asked for more entries than
+its cache holds, it computes only the ones past them (bernoulli, from
+tangent numbers, and the power below rebuild). The only series operation
+left is dpb-higher's ``** r``, over Q. Each ``*_gf`` builder, uncached, is
+its family's cached table over n!; it checks k, r and the precision (an
+int >= 1, unbounded) on every call.
 The series routes these sums replace are kept in ``identities`` as
 independent oracles.
 
@@ -140,27 +143,30 @@ def _gf(values) -> Series:
 
 def _family_gf(family: str, k: int | None, r: int, precision: int) -> Series:
     """The gf of a family id, its cached table over n!, every argument checked
-    but the precision unbounded (``_table`` refuses one below 1)."""
+    but the precision unbounded."""
     _validate(family, k, r)
     _check_int(precision, "precision")
+    if precision < 1:
+        raise PrecisionExceeded(f"precision must be >= 1, got {precision}")
     return _gf(_table(family, k, r, precision).values)
 
 
 @precision_cache
-def _kaneko_rows(count: int) -> Triangle:
+def _kaneko_rows(count: int, *, prior=()) -> Triangle:
     """Rows 0..count-1 of Kaneko's sum: row n is (-1)^m m! S(n+1, m+1) for
     m = 0..n, with S the Stirling numbers of the second kind. They do not
-    depend on k, so every ``_kaneko`` of a session reads one build."""
-    rows = [(1,)][:count]
-    for n in range(1, count):
+    depend on k, so every ``_kaneko`` of a session reads one build, grown
+    from the ``prior`` rows."""
+    rows = list(prior) or [(1,)][:count]
+    for n in range(len(rows), count):
         row = rows[-1]  # S(n+1, m+1) = (m+1) S(n, m+1) + S(n, m), scaled by (-1)^m m!
         rows.append(tuple((m + 1) * c - m * prev
                           for m, (c, prev) in enumerate(zip(row + (0,), (0,) + row))))
     return Triangle(rows)
 
 
-def _kaneko(k: int, count: int) -> list[Fraction]:
-    """PB_0..PB_(count-1), the table of Li_k(1 - e^(-t))/(e^t - 1).
+def _kaneko(k: int, count: int, start: int = 0) -> list[Fraction]:
+    """PB_start..PB_(count-1) of the table of Li_k(1 - e^(-t))/(e^t - 1).
 
     Kaneko's sum B_n^(k) = (-1)^n sum_m (-1)^m m! S(n, m)/(m + 1)^k is the
     table of Li_k(1 - e^(-t))/(1 - e^(-t)), with S the Stirling numbers of
@@ -179,7 +185,7 @@ def _kaneko(k: int, count: int) -> list[Fraction]:
         den = 1
         weights = [(m + 1) ** -k for m in range(count)]
     out = []
-    for n, row in enumerate(_kaneko_rows(count)):
+    for n, row in enumerate(_kaneko_rows(count)[start:], start):
         num = sum(map(mul, row, weights))
         out.append(Fraction(num if n % 2 == 0 else -num, den))
     return out
@@ -224,6 +230,8 @@ def elam(c, precision: int = DEFAULT_PRECISION) -> Series:
     Coefficient of t^n is c(c - lambda)...(c - (n-1)lambda)/n!.
     """
     _check_int(precision, "precision")
+    if type(c) not in (int, Fraction):
+        raise PolybernError(f"c must be an integer or a Fraction, got {c!r}")
     c = Fraction(c)
     coeffs: list = [LambdaPoly.constant(1)]
     prod = LambdaPoly.constant(1)
@@ -259,9 +267,10 @@ def _bernoulli(precision: int) -> list[Fraction]:
     return out[:precision]
 
 
-def _carlitz(precision: int) -> list:
-    """The table of t/((1 + lambda*t)^(1/lambda) - 1) = (t/L) * B(L), with
-    B = bernoulli_gf. It splits as G(lambda*t) + t*F(L).
+def _carlitz(precision: int, start: int = 0) -> list:
+    """Entries ``start`` to ``precision - 1`` of the table of
+    t/((1 + lambda*t)^(1/lambda) - 1) = (t/L) * B(L), with B = bernoulli_gf.
+    It splits as G(lambda*t) + t*F(L).
 
     The first term is t/L, with G = t/log(1 + t), whose table is the Cauchy
     numbers C_n = sum_m s(n, m)/(m + 1) (Comtet, *Advanced Combinatorics*,
@@ -272,15 +281,18 @@ def _carlitz(precision: int) -> list:
     Both sums read the cached rows s(n, 0..n): the first over the running
     denominator of the b_m, the second over D = lcm(1..precision), as
     (sum_m s(n, m) D/(m + 1))/D. Each entry is one integer row, reduced once.
+    The running row of the b_m is read from b_0 whatever ``start`` is.
     """
     bern = _table("bernoulli", None, 1, precision).values
     rows = _stirling1_rows(precision)
     d = lcm(*range(1, precision + 1))
     weights = [d // (m + 1) for m in range(precision)]
     b = FractionRow()  # entry n reads b_0..b_(n-1) only, so b grows with n
-    out = [Fraction(1)]
+    out = [Fraction(1)][start:]
     for n in range(1, precision):
         b.append(bern[n] / n)
+        if n < start:
+            continue
         den = lcm(b.den, d)
         scale = n * (den // b.den)
         num = [scale * c for c in map(mul, reversed(rows[n - 1]), reversed(b.nums))]
@@ -340,31 +352,33 @@ def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
 
 
 class _Family(NamedTuple):
-    """One family id: ``values(k, r, precision)`` builds its table from its
-    closed form, through module globals; ``reads`` names which of k and r the
+    """One family id: ``values(k, r, precision, start)`` builds entries
+    ``start`` to ``precision - 1`` of its table from its closed form, through
+    module globals (bernoulli builds its whole table, and dpb-higher at
+    r >= 2 its whole power, before keeping those entries); ``reads`` names which of k and r the
     family takes (see ``_read_params``); ``expression`` is its
     expression-language text, formatted with k and r; ``poly(table, n)``
     builds polynomial n, and is None for a family without one."""
 
-    values: Callable[[int | None, int, int], Sequence]
+    values: Callable[[int | None, int, int, int], Sequence]
     reads: str
     expression: str
     poly: Callable[[SequenceTable, int], Polynomial] | None
 
 
 _FAMILIES = {
-    "bernoulli": _Family(lambda k, r, n: _bernoulli(n), "", "t/(exp(t)-1)", binomial_poly),
-    "daehee": _Family(lambda k, r, n: [Fraction((-1) ** m * factorial(m), m + 1)
-                                       for m in range(n)], "", "log(1+t)/t", None),
-    "carlitz": _Family(lambda k, r, n: _carlitz(n), "", "t/(elam(1)-1)", _carlitz_poly),
-    "poly-bernoulli": _Family(lambda k, r, n: _table("bernoulli", None, 1, n).values
-                              if k == 1 else _kaneko(k, n), "k",
+    "bernoulli": _Family(lambda k, r, n, i: _bernoulli(n)[i:], "", "t/(exp(t)-1)", binomial_poly),
+    "daehee": _Family(lambda k, r, n, i: [Fraction((-1) ** m * factorial(m), m + 1)
+                                          for m in range(i, n)], "", "log(1+t)/t", None),
+    "carlitz": _Family(lambda k, r, n, i: _carlitz(n, i), "", "t/(elam(1)-1)", _carlitz_poly),
+    "poly-bernoulli": _Family(lambda k, r, n, i: _table("bernoulli", None, 1, n).values[i:]
+                              if k == 1 else _kaneko(k, n, i), "k",
                               "li({k}, 1-exp(-t))/(exp(t)-1)", binomial_poly),
-    "dpb": _Family(lambda k, r, n: _table("dpb-higher", k, 1, n).values, "k",
+    "dpb": _Family(lambda k, r, n, i: _table("dpb-higher", k, 1, n).values[i:], "k",
                    "li({k}, 1-elam(-1))/(elam(1)-1)", binomial_poly),
-    "dpb-higher": _Family(lambda k, r, n: stirling1_transform(
+    "dpb-higher": _Family(lambda k, r, n, i: stirling1_transform(
         _table("poly-bernoulli", k, 1, n).values if r == 1
-        else _values(poly_bernoulli_gf(k, n) ** r)), "kr",
+        else _values(poly_bernoulli_gf(k, n) ** r), i), "kr",
                           "(li({k}, 1-elam(-1))/(elam(1)-1))^{r}", binomial_poly),
 }
 
@@ -382,6 +396,8 @@ def _validate(family: str, k: int | None, r: int, precision: int = DEFAULT_PRECI
     check_k(k)
     check_r(r)
     check_precision(precision)
+    if precision < 1:
+        raise PrecisionExceeded(f"precision must be >= 1, got {precision}")
     return spec
 
 
@@ -399,10 +415,11 @@ def table(family: str, precision: int = DEFAULT_PRECISION, k: int | None = None,
 
 
 @precision_cache
-def _table(family: str, k: int | None, r: int, precision: int) -> SequenceTable:
-    if precision < 1:
-        raise PrecisionExceeded("a series needs at least one coefficient")
-    return SequenceTable(family, k, r, tuple(_FAMILIES[family].values(k, r, precision)))
+def _table(family: str, k: int | None, r: int, precision: int, *, prior=()) -> SequenceTable:
+    """The table of a family id, grown from the ``prior`` table's entries."""
+    values = prior.values if prior else ()
+    new = _FAMILIES[family].values(k, r, precision, len(values))
+    return SequenceTable(family, k, r, values + tuple(new))
 
 
 def polynomial(family: str, n: int, precision: int = DEFAULT_PRECISION,

@@ -7,7 +7,11 @@ stored as a row of integer numerators over one positive common denominator and
 kept canonical (no trailing zero, the gcd of the denominator and all
 numerators is 1). Its arithmetic runs on the integer rows and renders from
 them, with no Fraction per coefficient except in ``divide_exact``, which
-divides over ``coeffs``. A sum or difference (one signed pass) or a product of
+divides over ``coeffs``. ``str`` is one loop of its own over the row: one
+gcd per nonzero entry, a precomputed suffix per power of lambda, and no
+call or type test per term; only past the int/str digit limit does it hand
+the row, as Fractions, to ``format_terms``, whose ``_ratio`` holds the one
+``Decimal`` fallback. A sum or difference (one signed pass) or a product of
 two rows divides out one gcd of the whole result; scaling by a rational p/q
 (an int, a Fraction, or a division) divides out only the cross gcds
 gcd(den, p) and gcd(q, *num), as the row is canonical already. Plain
@@ -202,13 +206,12 @@ def power(base, n: int, one):
     return one if out is None else out
 
 
-def format_terms(coeffs, var: str, den: int = 1) -> str:
+def format_terms(coeffs, var: str) -> str:
     """Render dense coefficients highest degree first, as ``-3/4*x^2 + x - 1``.
 
-    Coefficients are Fractions, LambdaPolys, or ints over the common positive
-    denominator ``den``, each reduced by one gcd; every term is written from
-    its integer numerator and denominator. A LambdaPoly of degree >= 1 prints
-    in parentheses after a ``+``, as ``(lambda + 1)*x``.
+    Coefficients are Fractions or LambdaPolys; every term is written from its
+    integer numerator and denominator. A LambdaPoly of degree >= 1 prints in
+    parentheses after a ``+``, as ``(lambda + 1)*x``.
     """
     parts: list[str] = []
     for d in range(len(coeffs) - 1, -1, -1):
@@ -216,10 +219,7 @@ def format_terms(coeffs, var: str, den: int = 1) -> str:
         if not c:
             continue
         xs = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
-        if type(c) is int:
-            g = gcd(c, den)
-            p, q = c // g, den // g
-        elif type(c) is LambdaPoly:
+        if type(c) is LambdaPoly:
             if len(c._num) > 1:
                 body = f"({c})*{xs}" if xs else f"({c})"
                 parts.append(f"+ {body}" if parts else body)
@@ -546,13 +546,48 @@ class LambdaPoly:
         return Fraction(acc * q, self._den * qk)
 
     def __str__(self) -> str:
-        return format_terms(self._num, "lambda", self._den)
+        """The row in ``format_terms``' grammar, written in one pass: each
+        nonzero n_d/den reduced by one gcd and written with the precomputed
+        suffix of lambda^d, the signs joined as they go and the first one
+        fixed at the end. Past the int/str digit limit the row goes to
+        ``format_terms`` as Fractions, whose ``_ratio`` writes it."""
+        num, den = self._num, self._den
+        if not num:
+            return "0"
+        suffix = _LAMBDA_POWERS
+        while len(suffix) < len(num):
+            suffix.append(f"*lambda^{len(suffix)}")
+        parts = []
+        try:
+            for d in range(len(num) - 1, -1, -1):
+                c = num[d]
+                if not c:
+                    continue
+                g = gcd(c, den)
+                q = den // g
+                if c > 0:
+                    sign, p = " + ", c // g
+                else:
+                    sign, p = " - ", -c // g
+                if q != 1:
+                    parts.append(f"{sign}{p}/{q}{suffix[d]}")
+                elif p != 1 or not d:
+                    parts.append(f"{sign}{p}{suffix[d]}")
+                else:  # a unit coefficient: lambda^d alone
+                    parts.append(sign + suffix[d][1:])
+        except ValueError:
+            return format_terms(self.coeffs, "lambda")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"LambdaPoly({self})"
 
 
 LAMBDA = LambdaPoly.monomial(1)
+
+# the suffix of the term of lambda^d in ``LambdaPoly.__str__``, grown on demand
+_LAMBDA_POWERS = ["", "*lambda"]
 
 
 def lambda_eval(p, v) -> Fraction:

@@ -283,6 +283,9 @@ def _recurrence(f, n: int, g0, a: int, b: int, head, scale) -> list:
     return g
 
 
+_KEY_TYPES = frozenset((int, Fraction, str, type(None)))
+
+
 def precision_cache(build):
     """Cache a builder whose last positional argument is the precision, and
     whose result (a series, a table or a ``Triangle`` of rows) has a
@@ -290,22 +293,30 @@ def precision_cache(build):
 
     Each tuple of the other arguments keeps one result, at the largest
     precision asked for; a smaller request is its exact ``truncate``, as
-    entry n of every cached builder depends on n only. Calls that omit the
-    precision, pass keywords or ask for a precision below 1 or not an int
-    are uncached, left to the builder to refuse.
+    entry n of every cached builder depends on n only. A larger request is a
+    miss. A builder with a keyword-only ``prior`` grows: on that miss it gets
+    the cached shorter result as ``prior`` and computes only the entries past
+    it, a cold build being the same extension of an empty ``prior``. The
+    others rebuild. Calls that omit the precision, pass keywords, ask for a
+    precision below 1 or pass an argument not of the exact type int,
+    Fraction, str or None (so a bool or a float never meets the entry of an
+    equal int or Fraction) are uncached, left to the builder to refuse.
     """
     entries, counts = {}, {"hits": 0, "misses": 0}
     arity = build.__code__.co_argcount
+    grows = "prior" in (build.__kwdefaults__ or {})
 
     @wraps(build)
     def cached(*args, **kwargs):
-        if kwargs or len(args) != arity or type(args[-1]) is not int or args[-1] < 1:
+        if (kwargs or len(args) != arity or not _KEY_TYPES.issuperset(map(type, args))
+                or type(args[-1]) is not int or args[-1] < 1):
             return build(*args, **kwargs)
         key, precision = args[:-1], args[-1]
         entry = entries.get(key)
         if entry is None or entry.precision < precision:
             counts["misses"] += 1
-            entries[key] = entry = build(*args)
+            entry = build(*args, prior=entry) if grows and entry is not None else build(*args)
+            entries[key] = entry
         else:
             counts["hits"] += 1
         return entry.truncate(precision)
@@ -333,31 +344,33 @@ class Triangle(tuple):
 
 
 @precision_cache
-def _stirling1_rows(count: int) -> Triangle:
+def _stirling1_rows(count: int, *, prior=()) -> Triangle:
     """Rows 0..count-1 of the signed Stirling numbers of the first kind:
     row n is s(n, 0..n). They do not depend on the values transformed, so
     every ``stirling1_transform`` and Carlitz table of a session reads one
-    build."""
-    rows = [(1,)][:count]
-    for n in range(1, count):
+    build, grown from the ``prior`` rows."""
+    rows = list(prior) or [(1,)][:count]
+    for n in range(len(rows), count):
         row = rows[-1]  # s(n, m) = s(n-1, m-1) - (n-1) s(n-1, m)
         rows.append(tuple(prev - (n - 1) * c for c, prev in zip(row + (0,), (0,) + row)))
     return Triangle(rows)
 
 
-def stirling1_transform(values) -> list:
+def stirling1_transform(values, start: int = 0) -> list:
     """The table of f(L) over Q[lambda], with L = log(1 + lambda*t)/lambda,
-    from the table of f over Q (``values[m]`` is m! [x^m] f).
+    from the table of f over Q (``values[m]`` is m! [x^m] f): its entries
+    ``start`` to ``len(values) - 1``.
 
     n! [t^n] L^m = m! s(n, m) lambda^(n-m), with s the signed Stirling
     numbers of the first kind, so entry n is the LambdaPoly
-    sum_m s(n, m) values[m] lambda^(n-m), for n < len(values). The rows
-    s(n, 0..n) come from the cached ``_stirling1_rows``; only the products
-    with ``values`` are taken here.
+    sum_m s(n, m) values[m] lambda^(n-m). The rows s(n, 0..n) come from the
+    cached ``_stirling1_rows``; only the products with ``values`` are taken
+    here.
     """
     v = FractionRow()  # entry n reads values[0..n] only, so v grows with n
     out = []
-    for value, row in zip(values, _stirling1_rows(len(values))):
+    for n, (value, row) in enumerate(zip(values, _stirling1_rows(len(values)))):
         v.append(value)
-        out.append(_normalised(list(map(mul, reversed(row), reversed(v.nums))), v.den))
+        if n >= start:
+            out.append(_normalised(list(map(mul, reversed(row), reversed(v.nums))), v.den))
     return out

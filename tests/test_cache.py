@@ -11,7 +11,7 @@ import polybern
 from polybern import families, identities, series, umbral
 from polybern.errors import PolybernError, PrecisionExceeded
 from polybern.ring import LambdaPoly
-from polybern.series import Series, precision_cache
+from polybern.series import Series, Triangle, precision_cache
 
 MODULES = (series, families, umbral, identities)
 
@@ -65,6 +65,61 @@ def test_truncating_a_larger_build_equals_a_direct_build(module, name, args):
     for p in range(1, 13):
         _clear_caches()
         assert big.truncate(p) == build(*args, p), p
+
+
+@pytest.mark.parametrize("module, name, args", BUILDERS,
+                         ids=[name for _, name, _ in BUILDERS])
+def test_a_build_grown_from_a_smaller_one_equals_a_cold_build(module, name, args):
+    build = getattr(module, name)
+    cold = {}
+    for p in range(2, 13):
+        _clear_caches()
+        cold[p] = build(*args, p)
+    for p2 in range(2, 13):
+        for p1 in range(1, p2):
+            _clear_caches()
+            build(*args, p1)
+            assert build(*args, p2) == cold[p2], (p1, p2)
+
+
+# Every cached builder that grows, with the arguments before its precision,
+# and how to read its entries (rows) from its result.
+GROWING = [(families._kaneko_rows, (), tuple), (series._stirling1_rows, (), tuple)] + [
+    (families._table, (family, k, r), lambda tbl: tbl.values)
+    for family, k, r in [("bernoulli", None, 1), ("daehee", None, 1), ("carlitz", None, 1),
+                         ("poly-bernoulli", 3, 1), ("poly-bernoulli", 1, 1),
+                         ("poly-bernoulli", -2, 1), ("dpb", 2, 1), ("dpb-higher", -1, 1),
+                         ("dpb-higher", 2, 3)]]
+
+
+@pytest.mark.parametrize("build, args, entries", GROWING,
+                         ids=[f"{b.__name__}{a}" for b, a, _ in GROWING])
+def test_growth_keeps_the_cached_entries_themselves(build, args, entries):
+    steps = [(1, 2), (1, 12), (5, 6), (5, 12), (11, 12)]
+    cold = {}
+    for p in {p2 for _, p2 in steps}:
+        _clear_caches()
+        cold[p] = entries(build(*args, p))
+    for p1, p2 in steps:
+        _clear_caches()
+        small = entries(build(*args, p1))
+        grown = entries(build(*args, p2))
+        assert grown == cold[p2], (p1, p2)
+        assert all(a is b for a, b in zip(small, grown[:p1], strict=True)), (p1, p2)
+        # the grown result holds p2 entries, no more: one more is a miss
+        misses = build.cache_info().misses
+        build(*args, p2 + 1)
+        assert build.cache_info().misses > misses, (p1, p2)
+
+
+@pytest.mark.parametrize("family, k", [("dpb", 100), ("dpb", -100), ("carlitz", None)])
+def test_tables_grown_in_steps_equal_cold_builds(family, k):
+    _clear_caches()
+    cold = families.table(family, 64, k=k)
+    _clear_caches()
+    for n in (16, 40, 64):
+        grown = families.table(family, n, k=k)
+    assert grown == cold
 
 
 def test_one_entry_per_key_across_catalog_orders(monkeypatch):
@@ -166,6 +221,42 @@ def test_decorator_keeps_the_name_and_caches_by_the_other_arguments():
     build(1, 4), build(1, 2), build(2, 3), build(1, 6), build(1, 5)
     assert calls == [(1, 4), (2, 3), (1, 6)]
     assert build.cache_info().currsize == 2
+
+
+def test_a_builder_with_a_prior_grows_from_its_cached_result():
+    calls = []
+
+    @precision_cache
+    def rows(c, count, *, prior=()):
+        calls.append((c, count, len(prior)))
+        return Triangle(list(prior) + [(c, n) for n in range(len(prior), count)])
+
+    first = rows(7, 3)
+    grown = rows(7, 5)
+    assert grown == ((7, 0), (7, 1), (7, 2), (7, 3), (7, 4))
+    assert all(a is b for a, b in zip(first, grown))
+    assert rows(7, 4) == grown[:4] and rows(8, 2) == ((8, 0), (8, 1))
+    # a cold build is the empty prefix extended; an uncached call passes no prior
+    assert rows(7, count=2) == grown[:2]
+    assert calls == [(7, 3, 0), (7, 5, 3), (8, 2, 0), (7, 2, 0)]
+    info = rows.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+
+
+def test_an_argument_of_another_type_is_uncached():
+    calls = []
+
+    @precision_cache
+    def build(c, precision):
+        calls.append(c)
+        return Triangle([(c,)] * precision)
+
+    keys = (1, Fraction(1, 2), None, "1")
+    for c in (*keys, True, 1.0, 0.5, *keys):
+        build(c, 4)
+    # a bool or a float equal to a cached key is left to the builder
+    assert calls == [*keys, True, 1.0, 0.5]
+    assert build.cache_info().currsize == len(keys)
 
 
 def test_no_module_uses_another_cache_decorator():

@@ -432,7 +432,11 @@ def test_truncate_refuses_what_it_cannot_give():
 @pytest.mark.parametrize("precision", [0, -2])
 def test_every_builder_refuses_precision_below_one(precision):
     for build in (lambda: families.elam(1, precision),
-                  lambda: families.polylog_series(2, precision)):
+                  lambda: families.polylog_series(2, precision),
+                  lambda: families.table("dpb", precision, k=2),
+                  lambda: families.table("carlitz", precision),
+                  lambda: families.polynomial("dpb", 0, precision, k=2),
+                  lambda: families.polynomial("bernoulli", 0, precision)):
         with pytest.raises(PrecisionExceeded, match=f"^precision must be >= 1, got {precision}$"):
             build()
     for build in (lambda: families.bernoulli_gf(precision), lambda: families.daehee_gf(precision),
@@ -544,6 +548,13 @@ def test_gf_builders_check_k_and_r():
     (lambda: [families.dpb_gf(2, p) for p in (8, 4.5)], "precision"),
     (lambda: [families.carlitz_gf(p) for p in (8, 4.0)], "precision"),
     (lambda: [families.bernoulli_gf(p) for p in (8, True)], "precision"),
+    # c of elam: each equal key is cached first, and none other reaches the lookup
+    (lambda: families.elam(0.1, 3), "c"),
+    (lambda: [families.elam(c, 3) for c in (Fraction(1, 2), 0.5)], "c"),
+    (lambda: [families.elam(c, 3) for c in (Fraction(1, 2), "1/2")], "c"),
+    (lambda: [families.elam(c, 3) for c in (1, True)], "c"),
+    (lambda: [families.elam(c, 3) for c in (2, 2.0)], "c"),
+    (lambda: families.elam(None, 3), "c"),
 ], ids=["k-float", "k-bool", "r-float", "r-bool", "precision-float",
         "precision-bool", "n-float", "n-bool", "verify-nmax-float", "verify-nmax-bool",
         "verify-max_degree-bool", "verify-n_random-float", "verify-lam-str", "verify-lam-nan",
@@ -552,14 +563,16 @@ def test_gf_builders_check_k_and_r():
         "verify-seed-str", "verify-id-list",
         "polylog-precision-float", "elam-precision-float", "gf-k-float", "gf-k-bool",
         "plain-gf-k-float", "gf-r-float", "gf-precision-float", "carlitz-gf-precision-float",
-        "gf-precision-bool"])
+        "gf-precision-bool", "elam-c-float", "elam-c-equal-float", "elam-c-str", "elam-c-bool", "elam-c-integral-float",
+        "elam-c-none"])
 def test_library_refuses_a_non_integer_argument(build, name):
     if name == "identity":  # an unhashable id is an unknown one
         match = r"^unknown identity '\['x'\]'$"
     elif name == "ys":
         match = "^ys must be a sequence of rationals, got 5$"
     else:
-        kind = "an integer or a Fraction" if name.startswith(("lam", "ys")) else "an integer"
+        kind = ("an integer or a Fraction" if name.startswith(("lam", "ys")) or name == "c"
+                else "an integer")
         match = f"^{name} must be {kind}, got "
     with pytest.raises(PolybernError, match=match):
         build()

@@ -179,6 +179,8 @@ def test_precision_one(c):
 def test_stirling1_transform_matches_the_fraction_loop(values):
     got = stirling1_transform(values)
     assert [list(c.coeffs) for c in got] == stirling1_reference(values)
+    # a table grown from entry i computes entries i.. only
+    assert all(stirling1_transform(values, i) == got[i:] for i in range(len(values) + 1))
 
 
 def test_stirling1_rows_match_the_fraction_triangle():

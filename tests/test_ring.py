@@ -51,8 +51,7 @@ def test_format_rational():
 
 
 def test_formatting_passes_the_int_str_digit_limit():
-    # 7^6000 has 5071 digits, past Python's default limit of 4300
-    big, limit = 7**6000, sys.get_int_max_str_digits()
+    big, limit = BIG, sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
         want = str(big)
@@ -69,10 +68,29 @@ def test_formatting_passes_the_int_str_digit_limit():
 
 DENOMINATORS = (1, 2, 3, 7, 12, 3**20, 2**61)
 
+# 7^6000 has 5071 digits, past Python's default int/str limit of 4300
+BIG = 7**6000
+
+
+def integer_rows():
+    """LambdaPolys whose integer rows hold +-1 at degrees 0, 1 and >= 2, with
+    interior zeros, over denominator 1, over 3^20 and over BIG (a row whose
+    only int past the digit limit is its denominator); rows where some
+    entries reduce to +-1 over a denominator > 1; and each row inside a
+    Polynomial and a Series."""
+    signs = [(1,), (-1,), (0, 1), (0, -1), (0, 0, 1), (0, 0, -1), (1, -1, 1, -1),
+             (-1, 0, 0, 1), (0, 1, 0, 0, -1), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1)]
+    rows = [LambdaPoly([Fraction(c, d) for c in row]) for d in (1, 3**20, BIG) for row in signs]
+    rows += [lp(1, Fraction(1, 2), -1, Fraction(-1, 3)), lp(-1, 0, Fraction(2, 7), 0, 1),
+             lp(Fraction(5, 6), -1, 0, 0, Fraction(1, 6)), lp(0, 3, 0, Fraction(-3, BIG))]
+    return rows + [Polynomial(rows[i:i + 3]) for i in range(0, len(rows), 3)] + [
+        Series([0, *rows[i:i + 2]]) for i in range(0, len(rows), 2)]
+
 
 def render_corpus(rng: random.Random, count: int):
-    """Zero, units, degree-0 LambdaPolys and big denominators, then seeded
-    rationals, LambdaPolys, and Polynomials and Series of mixed coefficients."""
+    """Zero, units, degree-0 LambdaPolys and big denominators, the
+    ``integer_rows``, then seeded rationals, LambdaPolys, and Polynomials and
+    Series of mixed coefficients."""
     def q():
         n = rng.choice((0, 1, -1, rng.randint(-99, 99), rng.randint(-2**80, 2**80)))
         return Fraction(n, rng.choice(DENOMINATORS))
@@ -82,6 +100,7 @@ def render_corpus(rng: random.Random, count: int):
 
     yield from (Fraction(0), Fraction(1), Fraction(-1), LambdaPoly(), lp(1), lp(-1),
                 lp(Fraction(-5, 3**20)), Fraction(7, 2**61), LAMBDA, -LAMBDA)
+    yield from integer_rows()
     for _ in range(count):
         yield q()
         yield lam()
@@ -97,8 +116,21 @@ def test_rendering_matches_the_fraction_route():
             assert format_scalar(value) == want
 
 
+@pytest.mark.parametrize("digits", [0, 4300], ids=["no-limit", "limit-4300"])
+def test_integer_rows_render_as_the_fraction_route(digits):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(digits)
+        pairs = [(str(v), render_reference(v)) for v in integer_rows()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert all(got == want for got, want in pairs)
+    # the rows over BIG write its 5071 digits
+    assert sum(len(got) > 5000 for got, _ in pairs) >= 10
+
+
 def test_rendering_past_the_digit_limit_matches_the_fraction_route():
-    big, limit = 7**6000, sys.get_int_max_str_digits()
+    big, limit = BIG, sys.get_int_max_str_digits()
     scalars = [lp(Fraction(big, 6), Fraction(-1, 3 * big), 5), Fraction(-big, 2**61)]
     composites = [Polynomial([Fraction(big, 3), lp(1, Fraction(-1, big))]),
                   Series([0, lp(big, 0, Fraction(1, 3)), Fraction(-1, big)])]
