@@ -191,22 +191,17 @@ def cmd_poly(args) -> int:
     p = families.polynomial(args.family, args.n, args.n + 1, k=args.k, r=args.r)
     if args.lam is not None:
         p = p.specialize(args.lam)
-    k, r = families._read_params(args.family, args.k, args.r)
-    d = {
-        "family": args.family,
-        "k": k,
-        "r": r,
-        "n": args.n,
-        "lambda": _lam_label(args.lam),
-        "poly": str(p),
-    }
-    if args.fmt == "json":
-        sys.stdout.write(_json_text(d))
-    elif args.fmt == "csv":
+    if args.fmt == "csv":
         rows = [[str(j), format_scalar(p.coefficient(j))] for j in range(args.n + 1)]
         sys.stdout.write(_csv_text(["degree", "coefficient"], rows))
+        return 0
+    text = str(p)  # rendered once, for json or text
+    if args.fmt == "json":
+        k, r = families._read_params(args.family, args.k, args.r)
+        sys.stdout.write(_json_text({"family": args.family, "k": k, "r": r, "n": args.n,
+                                     "lambda": _lam_label(args.lam), "poly": text}))
     else:
-        sys.stdout.write(str(p) + "\n")
+        sys.stdout.write(text + "\n")
     return 0
 
 

@@ -7,16 +7,20 @@ the product c(c - lambda)...(c - (n-1)lambda)/n!, which stays inside
 Q[lambda].
 
 The table is built first, straight from a closed form: bernoulli from
-tangent numbers, daehee as (-1)^n n!/(n + 1), poly-Bernoulli by Kaneko's
-finite sum (bernoulli at k = 1). Since (1 + lambda*t)^(c/lambda) = e^(c*L)
-with L = log(1 + lambda*t)/lambda, each degenerate table is the
-``series.stirling1_transform`` of a classical one; carlitz reads the same
-Stirling-1 rows for the transform of B_(m+1)/(m + 1) and for the Cauchy
-numbers. The Stirling triangles these sums read depend on neither k nor r,
-so each is built once per session by a cached row builder and shared by
-every table. A table, like a triangle, grows: asked for more entries than
-its cache holds, it computes only the ones past them (bernoulli, from
-tangent numbers, and the power below rebuild). The only series operation
+tangent numbers, daehee as (-1)^n n!/(n + 1), poly-Bernoulli (bernoulli
+at k = 1) by Kaneko's finite sum (Kaneko, J. Theor. Nombres Bordeaux 9,
+1997), run as the Akiyama-Tanigawa recurrence on its weights (Kaneko,
+J. Integer Sequences 3, 2000), so no Stirling-2 number is formed. Since
+(1 + lambda*t)^(c/lambda) = e^(c*L) with L = log(1 + lambda*t)/lambda,
+each degenerate table is the ``series.stirling1_transform`` of a classical
+one; carlitz reads the same Stirling-1 rows for the transform of
+B_(m+1)/(m + 1) and for the Cauchy numbers. The Stirling-1 triangle
+depends on neither k nor r, so it is built once per session by a cached
+row builder and shared by every table. A table, like the triangle, grows:
+asked for more entries than its cache holds, it computes only the ones
+past them (bernoulli, from tangent numbers, poly-Bernoulli, whose
+recurrence starts at entry 0, and the power below run from the start
+again, and keep only the new entries). The only series operation
 left is dpb-higher's ``** r``, over Q. Each ``*_gf`` builder, uncached, is
 its family's cached table over n!; it checks k, r and the precision (an
 int >= 1, unbounded) on every call.
@@ -32,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import PolybernError, PrecisionExceeded
@@ -40,7 +44,6 @@ from .polynomials import Polynomial
 from .ring import FractionRow, LambdaPoly, _normalised
 from .series import (
     Series,
-    Triangle,
     _stirling1_rows,
     check_truncation,
     precision_cache,
@@ -151,43 +154,36 @@ def _family_gf(family: str, k: int | None, r: int, precision: int) -> Series:
     return _gf(_table(family, k, r, precision).values)
 
 
-@precision_cache
-def _kaneko_rows(count: int, *, prior=()) -> Triangle:
-    """Rows 0..count-1 of Kaneko's sum: row n is (-1)^m m! S(n+1, m+1) for
-    m = 0..n, with S the Stirling numbers of the second kind. They do not
-    depend on k, so every ``_kaneko`` of a session reads one build, grown
-    from the ``prior`` rows."""
-    rows = list(prior) or [(1,)][:count]
-    for n in range(len(rows), count):
-        row = rows[-1]  # S(n+1, m+1) = (m+1) S(n, m+1) + S(n, m), scaled by (-1)^m m!
-        rows.append(tuple((m + 1) * c - m * prev
-                          for m, (c, prev) in enumerate(zip(row + (0,), (0,) + row))))
-    return Triangle(rows)
-
-
 def _kaneko(k: int, count: int, start: int = 0) -> list[Fraction]:
     """PB_start..PB_(count-1) of the table of Li_k(1 - e^(-t))/(e^t - 1).
 
     Kaneko's sum B_n^(k) = (-1)^n sum_m (-1)^m m! S(n, m)/(m + 1)^k is the
     table of Li_k(1 - e^(-t))/(1 - e^(-t)), with S the Stirling numbers of
-    the second kind. The gf here is that one times e^(-t), and
+    the second kind (Kaneko, J. Theor. Nombres Bordeaux 9, 1997). The gf
+    here is that one times e^(-t), and
     e^(-t)(1 - e^(-t))^m = (1 - e^(-t))^m - (1 - e^(-t))^(m+1), which turns
-    m! S(n, m) into m! S(n+1, m+1):
-    PB_n = (-1)^n sum_m (-1)^m m! S(n+1, m+1)/(m + 1)^k.
-    The rows (-1)^m m! S(n+1, m+1) come from the cached ``_kaneko_rows``;
-    only the weights 1/(m + 1)^k depend on k. Every sum is taken in integers
-    over one common denominator, so each entry reduces once.
+    m! S(n, m) into m! S(n+1, m+1): PB_n = (-1)^n sum_m R[n][m] w_m, with
+    R[n][m] = (-1)^m m! S(n+1, m+1) and w_m = 1/(m + 1)^k.
+
+    The rows obey R[n][m] = (m+1) R[n-1][m] - m R[n-1][m-1], so
+    sum_m R[n][m] w_m = sum_m R[n-1][m] (m+1)(w_m - w_(m+1)): the sum is
+    never formed. n steps of w_m <- (m+1)(w_m - w_(m+1)) leave it in w_0,
+    as in the Akiyama-Tanigawa algorithm (Kaneko, J. Integer Sequences 3,
+    2000), and each step is one pass of products by small ints. The weights are
+    integers over one common denominator, so each entry reduces once. Every
+    call runs from entry 0; those below ``start`` are not returned.
     """
     if k > 0:
         den = lcm(*range(1, count + 1)) ** k
-        weights = [den // (m + 1) ** k for m in range(count)]
+        w = [den // (m + 1) ** k for m in range(count)]
     else:
         den = 1
-        weights = [(m + 1) ** -k for m in range(count)]
+        w = [(m + 1) ** -k for m in range(count)]
     out = []
-    for n, row in enumerate(_kaneko_rows(count)[start:], start):
-        num = sum(map(mul, row, weights))
-        out.append(Fraction(num if n % 2 == 0 else -num, den))
+    for n in range(count):
+        if n >= start:
+            out.append(Fraction(w[0] if n % 2 == 0 else -w[0], den))
+        w = list(map(mul, range(1, len(w)), map(sub, w, w[1:])))
     return out
 
 
@@ -354,11 +350,12 @@ def _carlitz_poly(tbl: SequenceTable, n: int) -> Polynomial:
 class _Family(NamedTuple):
     """One family id: ``values(k, r, precision, start)`` builds entries
     ``start`` to ``precision - 1`` of its table from its closed form, through
-    module globals (bernoulli builds its whole table, and dpb-higher at
-    r >= 2 its whole power, before keeping those entries); ``reads`` names which of k and r the
-    family takes (see ``_read_params``); ``expression`` is its
-    expression-language text, formatted with k and r; ``poly(table, n)``
-    builds polynomial n, and is None for a family without one."""
+    module globals (bernoulli and poly-bernoulli compute their whole table,
+    and dpb-higher at r >= 2 its whole power, before keeping those entries);
+    ``reads`` names which of k and r the family takes (see ``_read_params``);
+    ``expression`` is its expression-language text, formatted with k and r;
+    ``poly(table, n)`` builds polynomial n, and is None for a family without
+    one."""
 
     values: Callable[[int | None, int, int, int], Sequence]
     reads: str

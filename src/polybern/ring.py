@@ -9,12 +9,12 @@ numerators is 1). Its arithmetic runs on the integer rows and renders from
 them, with no Fraction per coefficient except in ``divide_exact``, which
 divides over ``coeffs``. ``str`` is one loop of its own over the row: one
 gcd per nonzero entry, a precomputed suffix per power of lambda, and no
-call or type test per term; only past the int/str digit limit does it hand
-the row, as Fractions, to ``format_terms``, whose ``_ratio`` holds the one
-``Decimal`` fallback. A sum or difference (one signed pass) or a product of
-two rows divides out one gcd of the whole result; scaling by a rational p/q
-(an int, a Fraction, or a division) divides out only the cross gcds
-gcd(den, p) and gcd(q, *num), as the row is canonical already. Plain
+call or type test per term; only a term past the int/str digit limit goes
+through ``_ratio``, which holds the one ``Decimal`` fallback. A sum or
+difference (one signed pass) or a product of two rows divides out one gcd
+of the whole result; scaling by a rational p/q (an int, a Fraction, or a
+division) divides out only the cross gcds gcd(den, p) and gcd(q, *num), as
+the row is canonical already. Plain
 rationals embed implicitly as degree-0 polynomials, so mixed arithmetic needs
 no explicit coercion at call sites.
 
@@ -549,8 +549,8 @@ class LambdaPoly:
         """The row in ``format_terms``' grammar, written in one pass: each
         nonzero n_d/den reduced by one gcd and written with the precomputed
         suffix of lambda^d, the signs joined as they go and the first one
-        fixed at the end. Past the int/str digit limit the row goes to
-        ``format_terms`` as Fractions, whose ``_ratio`` writes it."""
+        fixed at the end. A term past the int/str digit limit is written in
+        place by ``_ratio``'s ``Decimal`` fallback."""
         num, den = self._num, self._den
         if not num:
             return "0"
@@ -558,25 +558,23 @@ class LambdaPoly:
         while len(suffix) < len(num):
             suffix.append(f"*lambda^{len(suffix)}")
         parts = []
-        try:
-            for d in range(len(num) - 1, -1, -1):
-                c = num[d]
-                if not c:
-                    continue
-                g = gcd(c, den)
-                q = den // g
-                if c > 0:
-                    sign, p = " + ", c // g
-                else:
-                    sign, p = " - ", -c // g
-                if q != 1:
-                    parts.append(f"{sign}{p}/{q}{suffix[d]}")
-                elif p != 1 or not d:
-                    parts.append(f"{sign}{p}{suffix[d]}")
-                else:  # a unit coefficient: lambda^d alone
-                    parts.append(sign + suffix[d][1:])
-        except ValueError:
-            return format_terms(self.coeffs, "lambda")
+        for d in range(len(num) - 1, -1, -1):
+            c = num[d]
+            if not c:
+                continue
+            g = gcd(c, den)
+            q = den // g
+            if c > 0:
+                sign, p = " + ", c // g
+            else:
+                sign, p = " - ", -c // g
+            if q == 1 and p == 1 and d:  # a unit coefficient: lambda^d alone
+                parts.append(sign + suffix[d][1:])
+                continue
+            try:
+                parts.append(f"{sign}{p}/{q}{suffix[d]}" if q != 1 else f"{sign}{p}{suffix[d]}")
+            except ValueError:  # past the int/str digit limit
+                parts.append(f"{sign}{_ratio(p, q)}{suffix[d]}")
         text = "".join(parts)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 

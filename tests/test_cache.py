@@ -29,7 +29,6 @@ BUILDERS = [
     (families, "dpb_gf", (-2,)),
     (families, "dpb_higher_gf", (2, 3)),
     (families, "_table", ("dpb-higher", 2, 3)),
-    (families, "_kaneko_rows", ()),
     (series, "_stirling1_rows", ()),
     (umbral, "bernoulli_operator", (2,)),
     (identities, "_dpb_series", (2,)),
@@ -84,7 +83,7 @@ def test_a_build_grown_from_a_smaller_one_equals_a_cold_build(module, name, args
 
 # Every cached builder that grows, with the arguments before its precision,
 # and how to read its entries (rows) from its result.
-GROWING = [(families._kaneko_rows, (), tuple), (series._stirling1_rows, (), tuple)] + [
+GROWING = [(series._stirling1_rows, (), tuple)] + [
     (families._table, (family, k, r), lambda tbl: tbl.values)
     for family, k, r in [("bernoulli", None, 1), ("daehee", None, 1), ("carlitz", None, 1),
                          ("poly-bernoulli", 3, 1), ("poly-bernoulli", 1, 1),

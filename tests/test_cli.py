@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import fresh_python
 from polybern import cli, families, identities
+from polybern.polynomials import Polynomial
 
 
 def run_cli(*args):
@@ -399,6 +400,17 @@ def test_poly_carlitz_uses_degenerate_basis():
     assert proc.stdout == "x^2 - x + (-1/6*lambda^2 + 1/6)\n"
     proc = run_cli("poly", "carlitz", "--n", "2", "--lambda", "0")
     assert proc.stdout == "x^2 - x + 1/6\n"
+
+
+@pytest.mark.parametrize("fmt, renders", [("text", 1), ("json", 1), ("csv", 0)])
+def test_poly_renders_its_polynomial_at_most_once(monkeypatch, capsys, fmt, renders):
+    calls = []
+    render = Polynomial.__str__
+    monkeypatch.setattr(Polynomial, "__str__", lambda p: calls.append(p) or render(p))
+    assert cli.main(["poly", "dpb", "--k", "2", "--n", "3", "--format", fmt]) == 0
+    assert len(calls) == renders
+    if fmt == "text":
+        assert capsys.readouterr().out == render(calls[0]) + "\n"
 
 
 def test_verify_with_numeric_lambda():

@@ -3,7 +3,8 @@ process, and its exit code, stdout and stderr must hash to the digest
 recorded for it in DIGESTS, one line per argv.
 
 The argvs cover every subcommand and ``--format``; every family id at
-``--lambda`` symbolic, 1/2, 0 and -3; every catalog id at its defaults; each
+``--lambda`` symbolic, 1/2, 0 and -3; every catalog id at its defaults, and
+each that specializes at a numeric lambda at ``--lambda`` 1/2, 0 and -3; each
 ``families.canonical_expression``; the README, mid-size (``MID_EVAL`` among
 them) and malformed-input menus of ``bench/workloads.py``; and the usage
 errors of ``test_cli.test_bad_usage_exits_two``. None is near a documented worst case.
@@ -32,6 +33,9 @@ _spec.loader.exec_module(workloads)
 
 FORMATS = ("text", "json", "csv")
 LAMBDAS = ("symbolic", "1/2", "0", "-3")
+# catalog ids whose check specializes both sides at a numeric --lambda
+NUMERIC_LAMBDA_IDS = ("eq17", "eq18", "thm2", "thm3", "k0", "sheffer16", "sheffer23",
+                      "stirling1")
 BAD_USAGE = (
     ("table", "fibonacci", "--n", "3"),
     ("table", "dpb", "--n", "3"),
@@ -70,6 +74,8 @@ def argvs() -> list[tuple[str, ...]]:
             out.append(("table", family, "--n", "24", "--k", str(k), "--r", str(r)))
             out.append(("eval", families.canonical_expression(family, k, r), "--order", "10"))
     out += [("verify", ident) for ident in identities.CATALOG_IDS]
+    for ident in NUMERIC_LAMBDA_IDS:
+        out += [("verify", ident, "--lambda", lam, "--format", "json") for lam in LAMBDAS[1:]]
     for fmt in FORMATS:
         out.append(("verify", "eq17", "--k", "-1", "--n", "6", "--format", fmt))
         out.append(("verify", "t*exp(t) == t + t^2", "--order", "4", "--format", fmt))
@@ -276,6 +282,30 @@ DIGESTS = {
     'verify lambda0': '6f9ca31611388c5c',
     'verify stirling1': 'fdc4294799a4d5f6',
     'verify kaneko': '7bacf75e8e59d98b',
+    'verify eq17 --lambda 1/2 --format json': '78a6cdaa4f427212',
+    'verify eq17 --lambda 0 --format json': '3acacd9d1760aeb2',
+    'verify eq17 --lambda -3 --format json': 'd1aaec57d00e9f4b',
+    'verify eq18 --lambda 1/2 --format json': 'a760e840924c3ce7',
+    'verify eq18 --lambda 0 --format json': 'a527006a93d1b705',
+    'verify eq18 --lambda -3 --format json': '78fe7f1ba92c34c5',
+    'verify thm2 --lambda 1/2 --format json': '5d18576087380520',
+    'verify thm2 --lambda 0 --format json': '8598f9ee2d82f321',
+    'verify thm2 --lambda -3 --format json': 'ff1f3b431f8f572d',
+    'verify thm3 --lambda 1/2 --format json': '227509df3de5839f',
+    'verify thm3 --lambda 0 --format json': '52feb75c45e85b1d',
+    'verify thm3 --lambda -3 --format json': 'f54c4ebf5e324af2',
+    'verify k0 --lambda 1/2 --format json': '256927681c2619b2',
+    'verify k0 --lambda 0 --format json': '21c4dcad5a8e7c11',
+    'verify k0 --lambda -3 --format json': '236e5d0bd3645d45',
+    'verify sheffer16 --lambda 1/2 --format json': '6fdab1c496075f96',
+    'verify sheffer16 --lambda 0 --format json': '17638572fb59106a',
+    'verify sheffer16 --lambda -3 --format json': 'a10b0ebd2df936eb',
+    'verify sheffer23 --lambda 1/2 --format json': '229c5da7c22d4403',
+    'verify sheffer23 --lambda 0 --format json': 'd1114d0869819587',
+    'verify sheffer23 --lambda -3 --format json': 'aae5d8bba943ecba',
+    'verify stirling1 --lambda 1/2 --format json': '2384f0a93fae8d71',
+    'verify stirling1 --lambda 0 --format json': 'ed20c2c2067a6d48',
+    'verify stirling1 --lambda -3 --format json': 'b9e8a1a9ca7691f2',
     'verify eq17 --k -1 --n 6 --format text': 'e571d2cc33f33a87',
     "verify 't*exp(t) == t + t^2' --order 4 --format text": '20c97595b46f3160',
     'verify eq17 --k -1 --n 6 --format json': 'b3e36b4d77b67503',

@@ -277,14 +277,25 @@ def _stirling2_explicit(n: int, m: int) -> Fraction:
                     factorial(m))
 
 
-def test_kaneko_rows_match_the_explicit_stirling2_sum():
-    rows = families._kaneko_rows(41)
-    assert len(rows) == 41
-    for n, row in enumerate(rows):
-        assert {type(c) for c in row} == {int}, n
-        assert list(row) == [(-1) ** m * factorial(m) * _stirling2_explicit(n + 1, m + 1)
-                             for m in range(n + 1)], n
-    assert families._kaneko_rows(0) == ()
+def test_poly_bernoulli_table_matches_kanekos_explicit_sum():
+    # PB_n = (-1)^n sum_m (-1)^m m! S(n+1, m+1)/(m + 1)^k, with every S from
+    # the explicit sum, so no recurrence of the production route is shared
+    stirling2 = [[_stirling2_explicit(n + 1, m + 1) for m in range(n + 1)] for n in range(41)]
+
+    def kaneko(k, count):
+        return [(-1) ** n * sum((-1) ** m * factorial(m) * s / Fraction(m + 1) ** k
+                                for m, s in enumerate(stirling2[n]))
+                for n in range(count)]
+
+    for k, count in [(k, 41) for k in range(-3, 4)] + [(-100, 16), (100, 16)]:
+        want = kaneko(k, count)
+        families._table.cache_clear()
+        got = families.table("poly-bernoulli", count, k=k).values
+        assert list(got) == want, k
+        assert {type(v) for v in got} == {Fraction}, k
+        assert families._kaneko(k, count) == want, k  # at k = 1 too, where table reads bernoulli
+        assert families._kaneko(k, count, 5) == want[5:], k
+    assert families._kaneko(2, 0) == families._kaneko(2, 3, 3) == []
 
 
 _TABLE_DIGEST = ("import hashlib\nfrom polybern import families\n"
@@ -295,7 +306,8 @@ _TABLE_DIGEST = ("import hashlib\nfrom polybern import families\n"
 
 
 def test_tables_do_not_depend_on_what_the_row_caches_hold():
-    # one session grows, truncates and regrows both cached triangles; the
+    # one session grows, truncates and regrows the cached Stirling-1 rows,
+    # the only rows a table reads (a poly-Bernoulli table reads none); the
     # table cache is cleared before each build, so every build reads the
     # rows the earlier ones left
     builds = [("poly-bernoulli", n, k, 1) for n in (8, 64, 96, 64) for k in (-2, 0, 3)]
@@ -304,11 +316,10 @@ def test_tables_do_not_depend_on_what_the_row_caches_hold():
         _TABLE_DIGEST + f"for args in {builds!r}:\n"
         "    families._table.cache_clear()\n    print(digest(*args))\n"
         "from polybern import series\n"
-        "print(families._kaneko_rows.cache_info().misses,"
-        " series._stirling1_rows.cache_info().misses)")
+        "print(series._stirling1_rows.cache_info().misses)")
     assert session.returncode == 0, session.stderr
     *digests, misses = session.stdout.splitlines()
-    assert misses == "3 1"  # Kaneko rows at 8, 64 and 96; Stirling-1 rows at 24
+    assert misses == "1"  # Stirling-1 rows at 24
     for args, got in zip(builds, digests, strict=True):
         alone = fresh_python(_TABLE_DIGEST + f"print(digest(*{args!r}))")
         assert alone.returncode == 0, alone.stderr

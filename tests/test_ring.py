@@ -2,6 +2,7 @@
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import render_reference
+from polybern import ring
 from polybern.polynomials import Polynomial
 from polybern.ring import (
     LAMBDA,
     LambdaPoly,
     format_rational,
     format_scalar,
+    format_terms,
     lambda_eval,
 )
 from polybern.series import Series, invert_constant
@@ -142,6 +145,22 @@ def test_rendering_past_the_digit_limit_matches_the_fraction_route():
         sys.set_int_max_str_digits(limit)
     assert got == want
     assert all(len(text) > 5000 for text in got)  # each writes a 5071-digit int
+
+
+def test_a_row_past_the_digit_limit_renders_in_one_pass(monkeypatch):
+    # small, unit, reduced and 5071-digit terms of one row, each written where
+    # the loop meets it: the row is never handed on to format_terms
+    row = lp(Fraction(BIG, 6), -1, Fraction(-1, 3 * BIG), 0, 1, Fraction(5, 2), -BIG, 1)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        want = format_terms(row.coeffs, "lambda")
+        monkeypatch.setattr(ring, "format_terms", None)
+        got = str(row)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert got.count(str(Decimal(BIG))) == 2  # at lambda^0 and lambda^6
 
 
 # -- lambda polynomials -------------------------------------------------------
